@@ -4,7 +4,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test chaos obs-smoke http-smoke jobs-smoke workers-smoke fleet-smoke delta-smoke lifecycle-smoke workflow-smoke bench-smoke bench ci
+.PHONY: test chaos obs-smoke http-smoke jobs-smoke workers-smoke fleet-smoke delta-smoke lifecycle-smoke workflow-smoke bench-smoke bench bench-ledger ci
 
 ## Tier-1 test suite (the gate every change must keep green).
 test:
@@ -87,6 +87,11 @@ bench-smoke:
 ## Tables land in benchmarks/results/.
 bench:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/ -q --benchmark-disable
+
+## The benchmark ledger: four fixed workloads, end-to-end metrics (about
+## 2.5 minutes; not part of `ci`).  See benchmarks/ledger/README.md.
+bench-ledger:
+	$(PYTHON) benchmarks/ledger/run.py
 
 ## What CI runs: the tier-1 suite, the chaos suite, the observability
 ## gate, the live-endpoint, job-service, multi-process worker,

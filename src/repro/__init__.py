@@ -12,7 +12,8 @@ Quickstart::
     report = session.validate("$fabric.RecoveryAttempts -> int & [1, 10]")
     assert report.passed
 
-Public surface:
+Public surface (each name loads its module on first use; see
+:mod:`repro._exports`):
 
 * :class:`ValidationSession` — load configuration sources, run CPL specs
 * :class:`ValidationPolicy`, :class:`ValidationReport`, :class:`Violation`
@@ -31,104 +32,38 @@ Public surface:
   (:class:`ReInferencer`)
 """
 
-from .core import (
-    DependencyIndex,
-    Evaluator,
-    IncrementalValidator,
-    Severity,
-    ValidationPolicy,
-    ValidationReport,
-    ValidationSession,
-    Violation,
-)
-from .cpl import parse, parse_predicate, tokenize
-from .drivers import driver_names, get_driver, register_driver
-from .errors import ConfValleyError, CPLSyntaxError
-from .inference import InferenceEngine
-from .repository import (
-    ChangeSet,
-    ConfigRepository,
-    ConfigStore,
-    InstanceKey,
-    KeyPattern,
-    Snapshot,
-    parse_pattern,
-)
-from .core.report import HealthBlock
-from .errors import DriverError
-from .parallel import ParallelValidator, SpecCache
-from .resilience import (
-    FaultPlan,
-    FaultyRuntimeProvider,
-    ResiliencePolicy,
-    SourceFailure,
-    SpecCircuitBreaker,
-)
-from . import observability
-from .observability import MetricsRegistry, Tracer
-from .lifecycle import (
-    PromotionPolicy,
-    ReInferencer,
-    ShadowLane,
-    SpecLifecycleManager,
-    SpecRecord,
-    SpecState,
-)
-from .runtime import FakeClock, FakeFileSystem, HostRuntime, MonotonicClock, StaticRuntime
-from .service import ScanResult, SourceSpec, ValidationService
+from . import _exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Evaluator",
-    "Severity",
-    "ValidationPolicy",
-    "ValidationReport",
-    "ValidationSession",
-    "Violation",
-    "parse",
-    "parse_predicate",
-    "tokenize",
-    "driver_names",
-    "get_driver",
-    "register_driver",
-    "ConfValleyError",
-    "CPLSyntaxError",
-    "DriverError",
-    "HealthBlock",
-    "ResiliencePolicy",
-    "SourceFailure",
-    "SpecCircuitBreaker",
-    "FaultPlan",
-    "FaultyRuntimeProvider",
-    "InferenceEngine",
-    "ConfigStore",
-    "InstanceKey",
-    "KeyPattern",
-    "parse_pattern",
-    "FakeFileSystem",
-    "HostRuntime",
-    "StaticRuntime",
-    "FakeClock",
-    "MonotonicClock",
-    "observability",
-    "MetricsRegistry",
-    "Tracer",
-    "ValidationService",
-    "SourceSpec",
-    "ScanResult",
-    "DependencyIndex",
-    "IncrementalValidator",
-    "ParallelValidator",
-    "SpecCache",
-    "ConfigRepository",
-    "Snapshot",
-    "ChangeSet",
-    "SpecLifecycleManager",
-    "PromotionPolicy",
-    "ReInferencer",
-    "ShadowLane",
-    "SpecRecord",
-    "SpecState",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = _exports.exports(__name__, {
+    ".": ("observability",),
+    ".core.evaluator": ("Evaluator",),
+    ".core.incremental": ("DependencyIndex", "IncrementalValidator"),
+    ".core.policy": ("ValidationPolicy",),
+    ".core.report": ("HealthBlock", "Severity", "ValidationReport", "Violation"),
+    ".core.session": ("ValidationSession",),
+    ".cpl": ("parse", "parse_predicate", "tokenize"),
+    ".drivers": ("driver_names", "get_driver", "register_driver"),
+    ".errors": ("ConfValleyError", "CPLSyntaxError", "DriverError"),
+    ".inference.engine": ("InferenceEngine",),
+    ".repository.keys": ("InstanceKey", "KeyPattern", "parse_pattern"),
+    ".repository.store": ("ConfigStore",),
+    ".repository.versioned": ("ChangeSet", "ConfigRepository", "Snapshot"),
+    ".parallel.cache": ("SpecCache",),
+    ".parallel.engine": ("ParallelValidator",),
+    ".resilience.breaker": ("SpecCircuitBreaker",),
+    ".resilience.chaos": ("FaultPlan", "FaultyRuntimeProvider"),
+    ".resilience.policy": ("ResiliencePolicy",),
+    ".resilience.sources": ("SourceFailure",),
+    ".observability.metrics": ("MetricsRegistry",),
+    ".observability.tracing": ("Tracer",),
+    ".lifecycle.manager": ("SpecLifecycleManager",),
+    ".lifecycle.model": ("SpecRecord", "SpecState"),
+    ".lifecycle.policy": ("PromotionPolicy",),
+    ".lifecycle.reinfer": ("ReInferencer",),
+    ".lifecycle.shadow": ("ShadowLane",),
+    ".runtime": ("FakeClock", "FakeFileSystem", "HostRuntime", "MonotonicClock",
+                 "StaticRuntime"),
+    ".service": ("ScanResult", "SourceSpec", "ValidationService"),
+}, local=("__version__",))

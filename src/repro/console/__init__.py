@@ -1,14 +1,9 @@
 """Interactive console and batch CLI (paper §5.1 usage scenarios)."""
 
-from .cli import build_parser, main
-from .editor import Diagnostic, EditorValidator, check_spec_text
-from .repl import Console
+from .. import _exports
 
-__all__ = [
-    "Console",
-    "main",
-    "build_parser",
-    "Diagnostic",
-    "EditorValidator",
-    "check_spec_text",
-]
+__all__, __getattr__, __dir__ = _exports.exports(__name__, {
+    ".cli": ("build_parser", "main"),
+    ".editor": ("Diagnostic", "EditorValidator", "check_spec_text"),
+    ".repl": ("Console",),
+})

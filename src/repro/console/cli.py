@@ -32,15 +32,12 @@ could not run (bad input, unreachable service, crash).
 from __future__ import annotations
 
 import argparse
-import statistics
 import sys
 from typing import Optional, Sequence
 
 from ..core.policy import ValidationPolicy
 from ..core.session import ValidationSession
-from ..inference import InferenceEngine
 from ..observability import get_logger
-from .repl import Console
 
 __all__ = ["main", "build_parser"]
 
@@ -745,6 +742,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         _load_sources(session, args.source)
         if args.partitions and args.partitions > 1:
+            import statistics
+
             with open(args.spec, "r", encoding="utf-8") as handle:
                 results = session.validate_partitioned(handle.read(), args.partitions)
             times = [elapsed for __, elapsed in results]
@@ -783,6 +782,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(report.render(limit=args.limit))
         return 0 if report.passed else 1
     if args.command == "infer":
+        from ..inference.engine import InferenceEngine
+
         session = ValidationSession()
         _load_sources(session, args.source)
         result = InferenceEngine().infer(session.store)
@@ -824,6 +825,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "coverage":
         return _run_coverage(args)
     # console
+    from .repl import Console
+
     session = ValidationSession()
     _load_sources(session, args.source)
     Console(session).run()
@@ -1552,15 +1555,6 @@ def _run_service(args) -> int:
               f"queue depth {job_service.admission.max_depth}" + extras,
               file=sys.stderr, flush=True)
 
-    if args.http:
-        from ..observability import parse_http_address
-
-        host, port = parse_http_address(args.http)
-        server = service.start_http(host, port)
-        # parseable announcement: tooling (and the http-smoke harness)
-        # reads the resolved address of a PORT-0 ephemeral bind from here
-        print(f"operator endpoint: {server.url}", file=sys.stderr, flush=True)
-
     # SIGTERM (systemd stop, docker stop, kill) exits the loop the same
     # way Ctrl-C does, so the finally-block shutdown always runs
     def _raise_interrupt(signum, frame):
@@ -1601,6 +1595,16 @@ def _run_service(args) -> int:
         last_status = result.passed
 
     try:
+        if args.http:
+            from ..observability import parse_http_address
+
+            host, port = parse_http_address(args.http)
+            server = service.start_http(host, port)
+            # parseable announcement: tooling (and the http-smoke harness)
+            # reads the resolved address of a PORT-0 ephemeral bind from
+            # here; it comes after the SIGTERM handler is in place and
+            # inside the try, so a stop sent on seeing it always drains
+            print(f"operator endpoint: {server.url}", file=sys.stderr, flush=True)
         if args.watch:
             service.watch(
                 interval=args.interval,
@@ -1642,7 +1646,8 @@ def _run_service(args) -> int:
                 pass
     if last_status is None:
         last_status = service.current_status
-    return 0 if last_status else 1
+    # stopped before the first scan finished: no verdict is not a failure
+    return 1 if last_status is False else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,31 +1,14 @@
 """ConfValley core: evaluation engine, sessions, policies and reports."""
 
-from .compiler import CompilerOptions, optimize_statements, simplify_predicate
-from .coverage import CoverageReport, analyze_coverage
-from .evaluator import Context, Evaluator, Item
-from .incremental import DependencyIndex, IncrementalValidator
-from .policy import ValidationPolicy
-from .repair import Repair, apply_repairs, suggest_repairs
-from .report import Severity, ValidationReport, Violation
-from .session import ValidationSession
+from .. import _exports
 
-__all__ = [
-    "CompilerOptions",
-    "optimize_statements",
-    "simplify_predicate",
-    "Context",
-    "Evaluator",
-    "Item",
-    "DependencyIndex",
-    "IncrementalValidator",
-    "CoverageReport",
-    "analyze_coverage",
-    "Repair",
-    "suggest_repairs",
-    "apply_repairs",
-    "ValidationPolicy",
-    "Severity",
-    "ValidationReport",
-    "Violation",
-    "ValidationSession",
-]
+__all__, __getattr__, __dir__ = _exports.exports(__name__, {
+    ".compiler": ("CompilerOptions", "optimize_statements", "simplify_predicate"),
+    ".coverage": ("CoverageReport", "analyze_coverage"),
+    ".evaluator": ("Context", "Evaluator", "Item"),
+    ".incremental": ("DependencyIndex", "IncrementalValidator"),
+    ".policy": ("ValidationPolicy",),
+    ".repair": ("Repair", "apply_repairs", "suggest_repairs"),
+    ".report": ("Severity", "ValidationReport", "Violation"),
+    ".session": ("ValidationSession",),
+})

@@ -24,6 +24,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from ..cpl import ast
 from ..errors import CPLSemanticError, EvaluationError, UnknownMacroError
+from ..observability.analytics import add_seconds
 from ..predicates import compare, get_predicate
 from ..predicates.relational import coerce_scalar
 from ..repository.keys import InstanceKey, KeyPattern, parse_pattern
@@ -249,7 +250,7 @@ class Evaluator:
             row["evals"] += report.specs_evaluated - evals_before
             row["instances"] += report.instances_checked - instances_before
             row["violations"] += len(report.violations) - violations_before
-            row["seconds"] += elapsed
+            row["seconds"] = add_seconds(row["seconds"], elapsed)
 
     # ==================================================================
     # Variable binding (substitutable variables, §4.2.2)

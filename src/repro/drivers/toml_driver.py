@@ -13,8 +13,6 @@ exactly like lists of mappings in the JSON and YAML drivers.
 
 from __future__ import annotations
 
-import tomllib
-
 from ..errors import DriverError
 from ..repository.model import ConfigInstance
 from .base import Driver, register_driver, scope_segments, walk_mapping
@@ -26,6 +24,8 @@ class TOMLDriver(Driver):
     format_name = "toml"
 
     def parse(self, text: str, source: str = "", scope: str = "") -> list[ConfigInstance]:
+        import tomllib  # only TOML sources pay for it
+
         try:
             data = tomllib.loads(text)
         except tomllib.TOMLDecodeError as exc:

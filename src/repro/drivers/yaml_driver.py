@@ -25,8 +25,6 @@ existing sources keep their unified keys (and report fingerprints) intact.
 
 from __future__ import annotations
 
-import yaml
-
 from ..errors import DriverError
 from .base import Driver, register_driver, scope_segments, walk_mapping
 from ..repository.keys import InstanceSegment
@@ -39,6 +37,8 @@ class YAMLDriver(Driver):
     format_name = "yaml"
 
     def parse(self, text: str, source: str = "", scope: str = "") -> list[ConfigInstance]:
+        import yaml  # only YAML sources pay for it
+
         try:
             documents = [doc for doc in yaml.safe_load_all(text) if doc is not None]
         except yaml.YAMLError as exc:

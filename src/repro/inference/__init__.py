@@ -1,37 +1,12 @@
 """Automatic specification inference (paper §4.5)."""
 
-from .constraints import (
-    ConsistencyConstraint,
-    Constraint,
-    EnumConstraint,
-    EqualityConstraint,
-    KIND_NAMES,
-    NonEmptyConstraint,
-    RangeConstraint,
-    TypeConstraint,
-    UniquenessConstraint,
-)
-from .engine import InferenceEngine, InferenceOptions, InferenceResult
-from .typelattice import infer_value_type, join_all, lub
-from .whitebox import WhiteBoxExtractor, combine, extract_constraints
+from .. import _exports
 
-__all__ = [
-    "Constraint",
-    "TypeConstraint",
-    "NonEmptyConstraint",
-    "RangeConstraint",
-    "EnumConstraint",
-    "UniquenessConstraint",
-    "ConsistencyConstraint",
-    "EqualityConstraint",
-    "KIND_NAMES",
-    "InferenceEngine",
-    "InferenceOptions",
-    "InferenceResult",
-    "lub",
-    "join_all",
-    "infer_value_type",
-    "WhiteBoxExtractor",
-    "extract_constraints",
-    "combine",
-]
+__all__, __getattr__, __dir__ = _exports.exports(__name__, {
+    ".constraints": ("KIND_NAMES", "ConsistencyConstraint", "Constraint",
+                     "EnumConstraint", "EqualityConstraint", "NonEmptyConstraint",
+                     "RangeConstraint", "TypeConstraint", "UniquenessConstraint"),
+    ".engine": ("InferenceEngine", "InferenceOptions", "InferenceResult"),
+    ".typelattice": ("infer_value_type", "join_all", "lub"),
+    ".whitebox": ("WhiteBoxExtractor", "combine", "extract_constraints"),
+})

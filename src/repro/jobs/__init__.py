@@ -32,58 +32,16 @@ equivalent direct ``confvalley validate`` run — asynchrony changes *when*
 a verdict arrives, never *what* it says.
 """
 
-from __future__ import annotations
+from .. import _exports
 
-from .journal import (
-    JobJournal,
-    JournalTail,
-    apply_worker_event,
-    fold_merged,
-    read_events,
-)
-from .lease import DEFAULT_LEASE_TTL, JobDirectory, Lease, LeaseStore
-from .model import (
-    EXIT_ADMIT,
-    EXIT_ERROR,
-    EXIT_REJECT,
-    AdmissionError,
-    JobState,
-    ValidationJob,
-    error_verdict,
-    verdict_payload,
-)
-from .queue import AdmissionController, JobQueue, TokenBucket
-from .service import JobService, parse_source_ref
-from .webhook import WebhookDelivery, WebhookDispatcher
-from .worker import ExternalWorker, JobExecutor, WorkerPool, WorkerSupervisor
-
-__all__ = [
-    "AdmissionController",
-    "AdmissionError",
-    "DEFAULT_LEASE_TTL",
-    "EXIT_ADMIT",
-    "EXIT_ERROR",
-    "EXIT_REJECT",
-    "ExternalWorker",
-    "JobDirectory",
-    "JobExecutor",
-    "JobJournal",
-    "JobQueue",
-    "JobService",
-    "JobState",
-    "JournalTail",
-    "Lease",
-    "LeaseStore",
-    "TokenBucket",
-    "ValidationJob",
-    "WebhookDelivery",
-    "WebhookDispatcher",
-    "WorkerPool",
-    "WorkerSupervisor",
-    "apply_worker_event",
-    "error_verdict",
-    "fold_merged",
-    "parse_source_ref",
-    "read_events",
-    "verdict_payload",
-]
+__all__, __getattr__, __dir__ = _exports.exports(__name__, {
+    ".journal": ("JobJournal", "JournalTail", "apply_worker_event", "fold_merged",
+                 "read_events"),
+    ".lease": ("DEFAULT_LEASE_TTL", "JobDirectory", "Lease", "LeaseStore"),
+    ".model": ("EXIT_ADMIT", "EXIT_ERROR", "EXIT_REJECT", "AdmissionError", "JobState",
+               "ValidationJob", "error_verdict", "verdict_payload"),
+    ".queue": ("AdmissionController", "JobQueue", "TokenBucket"),
+    ".service": ("JobService", "parse_source_ref"),
+    ".webhook": ("WebhookDelivery", "WebhookDispatcher"),
+    ".worker": ("ExternalWorker", "JobExecutor", "WorkerPool", "WorkerSupervisor"),
+})

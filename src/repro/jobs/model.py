@@ -23,7 +23,7 @@ semantics are :data:`EXIT_ADMIT` / :data:`EXIT_REJECT` / :data:`EXIT_ERROR`.
 from __future__ import annotations
 
 import hashlib
-import uuid
+import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -115,8 +115,8 @@ class AdmissionError(ConfValleyError):
 
 
 def new_job_id() -> str:
-    """An opaque, URL-safe job identifier."""
-    return "job-" + uuid.uuid4().hex[:12]
+    """An opaque, URL-safe job identifier (48 random bits, as hex)."""
+    return "job-" + os.urandom(6).hex()
 
 
 @dataclass

@@ -22,22 +22,13 @@ See docs/LIFECYCLE.md for the state machine, the drift math, and the
 fingerprint-parity soundness argument.
 """
 
-from .journal import LifecycleJournal, fold
-from .manager import SpecLifecycleManager
-from .model import SpecRecord, SpecState, constraint_spec_id
-from .policy import PromotionPolicy
-from .reinfer import ReInferencer
-from .shadow import LaneResult, ShadowLane
+from .. import _exports
 
-__all__ = [
-    "LaneResult",
-    "LifecycleJournal",
-    "PromotionPolicy",
-    "ReInferencer",
-    "ShadowLane",
-    "SpecLifecycleManager",
-    "SpecRecord",
-    "SpecState",
-    "constraint_spec_id",
-    "fold",
-]
+__all__, __getattr__, __dir__ = _exports.exports(__name__, {
+    ".journal": ("LifecycleJournal", "fold"),
+    ".manager": ("SpecLifecycleManager",),
+    ".model": ("SpecRecord", "SpecState", "constraint_spec_id"),
+    ".policy": ("PromotionPolicy",),
+    ".reinfer": ("ReInferencer",),
+    ".shadow": ("LaneResult", "ShadowLane"),
+})

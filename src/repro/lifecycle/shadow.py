@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 from ..core.policy import ValidationPolicy
 from ..core.session import ValidationSession
+from ..observability.analytics import add_seconds
 from ..resilience.breaker import SpecCircuitBreaker
 from ..runtime import clock as _clock
 
@@ -130,7 +131,7 @@ class ShadowLane:
             entry = per_spec[spec_id]
             entry["violations"] += row.get("violations", 0)
             entry["instances"] += row.get("instances", 0)
-            entry["seconds"] += row.get("seconds", 0.0)
+            entry["seconds"] = add_seconds(entry["seconds"], row.get("seconds", 0.0))
         result.per_spec = per_spec
         result.violations = len(report.violations)
         result.instances = report.instances_checked

@@ -43,20 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .analytics import SpecAnalytics, format_drift, format_hot_specs
-from .federation import (
-    FleetView,
-    TraceSegmentStore,
-    TraceSegmentWriter,
-    export_metrics_snapshot,
-    fleet_meta_families,
-    merge_metrics,
-    read_metrics_snapshots,
-    read_trace_segments,
-    render_families,
-    stitch_trace,
-    trace_payload,
-)
+from .. import _exports
 from .logging import JsonFormatter, configure_logging, get_logger, reset_logging
 from .metrics import (
     DEFAULT_BUCKETS,
@@ -65,8 +52,6 @@ from .metrics import (
     NullRegistry,
     parse_prometheus,
 )
-from .server import ObservabilityServer, parse_http_address
-from .snapshot import load_snapshot, render_stats, write_snapshot
 from .tracing import (
     NULL_TRACER,
     NullTracer,
@@ -75,45 +60,22 @@ from .tracing import (
     render_chrome_trace,
 )
 
-__all__ = [
-    "FleetView",
-    "TraceSegmentStore",
-    "TraceSegmentWriter",
-    "export_metrics_snapshot",
-    "fleet_meta_families",
-    "merge_metrics",
-    "read_metrics_snapshots",
-    "read_trace_segments",
-    "render_families",
-    "render_chrome_trace",
-    "stitch_trace",
-    "trace_payload",
-    "Observability",
-    "enable",
-    "disable",
-    "enabled",
-    "get_tracer",
-    "get_metrics",
-    "Tracer",
-    "NullTracer",
-    "SpanContext",
-    "MetricsRegistry",
-    "NullRegistry",
-    "DEFAULT_BUCKETS",
-    "parse_prometheus",
-    "SpecAnalytics",
-    "format_hot_specs",
-    "format_drift",
-    "ObservabilityServer",
-    "parse_http_address",
-    "JsonFormatter",
-    "configure_logging",
-    "reset_logging",
-    "get_logger",
-    "write_snapshot",
-    "load_snapshot",
-    "render_stats",
-]
+# tracing and metrics load eagerly (the no-op singletons below are built at
+# import); the parts off the hot path load on first use
+__all__, __getattr__, __dir__ = _exports.exports(__name__, {
+    ".analytics": ("SpecAnalytics", "format_drift", "format_hot_specs"),
+    ".federation": ("FleetView", "TraceSegmentStore", "TraceSegmentWriter",
+                    "export_metrics_snapshot", "fleet_meta_families", "merge_metrics",
+                    "read_metrics_snapshots", "read_trace_segments", "render_families",
+                    "stitch_trace", "trace_payload"),
+    ".server": ("ObservabilityServer", "parse_http_address"),
+    ".snapshot": ("load_snapshot", "render_stats", "write_snapshot"),
+}, local=(
+    "Observability", "enable", "disable", "enabled", "get_tracer", "get_metrics",
+    "Tracer", "NullTracer", "SpanContext", "render_chrome_trace",
+    "MetricsRegistry", "NullRegistry", "DEFAULT_BUCKETS", "parse_prometheus",
+    "JsonFormatter", "configure_logging", "reset_logging", "get_logger",
+))
 
 
 @dataclass

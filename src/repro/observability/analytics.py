@@ -37,6 +37,7 @@ from typing import Iterable, Optional
 
 __all__ = [
     "SpecAnalytics",
+    "add_seconds",
     "empty_profile_row",
     "merge_spec_profiles",
     "profile_rows",
@@ -50,6 +51,21 @@ def empty_profile_row() -> dict:
     return {"evals": 0, "instances": 0, "violations": 0, "seconds": 0.0}
 
 
+def add_seconds(total: float, seconds: float) -> float:
+    """``total + seconds`` kept on the nanosecond grid.
+
+    A duration is the difference of two absolute clock readings, so its
+    low float bits depend on how far the clock had already run: a fork
+    worker that evaluated other shards first measures the same span as
+    ``0.006000000000000005`` where the serial run measured
+    ``0.005999999999999998``.  Rounded to whole nanoseconds (the
+    resolution of ``perf_counter``) every partial sum is exact, so the
+    totals, and the rankings built on them, are the same in any merge
+    order and on every executor.
+    """
+    return round(total + seconds, 9)
+
+
 def merge_spec_profiles(target: dict, source: dict) -> None:
     """Fold one ``spec_profile`` dict into another (commutative sums)."""
     for key, row in source.items():
@@ -60,7 +76,7 @@ def merge_spec_profiles(target: dict, source: dict) -> None:
         into["evals"] += row["evals"]
         into["instances"] += row["instances"]
         into["violations"] += row["violations"]
-        into["seconds"] += row["seconds"]
+        into["seconds"] = add_seconds(into["seconds"], row["seconds"])
 
 
 def profile_rows(profile: dict) -> list[dict]:

@@ -25,39 +25,14 @@ Most callers use it indirectly through
 see ``docs/PERFORMANCE.md``.
 """
 
-from .cache import SpecCache, SpecCacheStats
-from .engine import ParallelValidator, ShardResult, WorkerState, evaluate_shard
-from .executors import (
-    PROCESS_CUTOFF,
-    SERIAL_CUTOFF,
-    ProcessShardExecutor,
-    SerialExecutor,
-    ThreadShardExecutor,
-    choose_executor,
-    resolve_executor,
-)
-from .shards import Shard, Unit, is_parallel_safe, partition_statements, scope_key
-from .supervision import ShardFailure, run_supervised
+from .. import _exports
 
-__all__ = [
-    "ParallelValidator",
-    "WorkerState",
-    "ShardResult",
-    "evaluate_shard",
-    "ShardFailure",
-    "run_supervised",
-    "SpecCache",
-    "SpecCacheStats",
-    "SerialExecutor",
-    "ThreadShardExecutor",
-    "ProcessShardExecutor",
-    "choose_executor",
-    "resolve_executor",
-    "SERIAL_CUTOFF",
-    "PROCESS_CUTOFF",
-    "Shard",
-    "Unit",
-    "partition_statements",
-    "scope_key",
-    "is_parallel_safe",
-]
+__all__, __getattr__, __dir__ = _exports.exports(__name__, {
+    ".cache": ("SpecCache", "SpecCacheStats"),
+    ".engine": ("ParallelValidator", "ShardResult", "WorkerState", "evaluate_shard"),
+    ".executors": ("PROCESS_CUTOFF", "SERIAL_CUTOFF", "ProcessShardExecutor",
+                   "SerialExecutor", "ThreadShardExecutor", "choose_executor",
+                   "resolve_executor"),
+    ".shards": ("Shard", "Unit", "is_parallel_safe", "partition_statements", "scope_key"),
+    ".supervision": ("ShardFailure", "run_supervised"),
+})

@@ -22,10 +22,11 @@ constants and documented in ``docs/PERFORMANCE.md``):
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Optional, Sequence, Union
+
+# multiprocessing and concurrent.futures load inside the pool executors, so
+# the serial path never imports them
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import ShardResult, WorkerState
@@ -80,6 +81,8 @@ class ThreadShardExecutor:
     def run(
         self, state: "WorkerState", shards: Sequence["Shard"]
     ) -> list["ShardResult"]:
+        from concurrent.futures import ThreadPoolExecutor
+
         from .engine import evaluate_shard
 
         workers = min(self.max_workers, max(1, len(shards)))
@@ -120,12 +123,16 @@ class ProcessShardExecutor:
 
     @staticmethod
     def available() -> bool:
+        import multiprocessing
+
         return "fork" in multiprocessing.get_all_start_methods()
 
     def run(
         self, state: "WorkerState", shards: Sequence["Shard"]
     ) -> list["ShardResult"]:
         global _FORK_PAYLOAD
+        import multiprocessing
+
         if not self.available():
             raise RuntimeError("process executor requires the 'fork' start method")
         workers = min(self.max_workers, max(1, len(shards)))

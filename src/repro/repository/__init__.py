@@ -1,33 +1,13 @@
 """Unified configuration representation, keys and discovery indexes."""
 
-from .keys import (
-    InstanceKey,
-    InstanceSegment,
-    KeyPattern,
-    PatternSegment,
-    parse_instance_key,
-    parse_pattern,
-)
-from .model import ConfigClass, ConfigInstance
-from .naive import NaiveIndex
-from .store import ConfigStore
-from .trie import TrieIndex
-from .versioned import ChangeSet, ConfigRepository, Snapshot, diff_stores
+from .. import _exports
 
-__all__ = [
-    "InstanceKey",
-    "InstanceSegment",
-    "KeyPattern",
-    "PatternSegment",
-    "parse_instance_key",
-    "parse_pattern",
-    "ConfigClass",
-    "ConfigInstance",
-    "ConfigStore",
-    "TrieIndex",
-    "NaiveIndex",
-    "ChangeSet",
-    "ConfigRepository",
-    "Snapshot",
-    "diff_stores",
-]
+__all__, __getattr__, __dir__ = _exports.exports(__name__, {
+    ".keys": ("InstanceKey", "InstanceSegment", "KeyPattern", "PatternSegment",
+              "parse_instance_key", "parse_pattern"),
+    ".model": ("ConfigClass", "ConfigInstance"),
+    ".naive": ("NaiveIndex",),
+    ".store": ("ConfigStore",),
+    ".trie": ("TrieIndex",),
+    ".versioned": ("ChangeSet", "ConfigRepository", "Snapshot", "diff_stores"),
+})

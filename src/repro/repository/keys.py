@@ -365,12 +365,36 @@ class _NotationScanner:
         return "".join(out)
 
 
-def parse_pattern(text: str) -> KeyPattern:
-    """Parse a CPL configuration notation into a :class:`KeyPattern`.
+#: one plain segment (``name``, ``name::q``, ``name[n]``, ``name[$var]``, with
+#: ``$var`` as name or qualifier) over the ASCII part of the scanner's
+#: alphabet; quoted qualifiers, non-ASCII names and malformed text fail it
+_PLAIN_SEGMENT = re.compile(
+    r"(\$?[A-Za-z0-9_*-]+)(?:::(\$?[A-Za-z0-9_*-]+)|\[([0-9]+|\$[A-Za-z0-9_*-]+)\])?"
+)
 
-    Raises :class:`~repro.errors.KeyNotationError` on malformed notation.
-    """
-    scanner = _NotationScanner(text.strip())
+
+def _parse_plain(text: str) -> Optional[KeyPattern]:
+    """The fast path: ``None`` unless every segment is plain."""
+    segments = []
+    for part in text.split("."):
+        match = _PLAIN_SEGMENT.fullmatch(part)
+        if match is None:
+            return None
+        name, named, index = match.groups()
+        if named is not None:
+            segments.append(PatternSegment(name, NAMED, named))
+        elif index is not None:
+            segments.append(
+                PatternSegment(name, ORDINAL, index if index[0] == "$" else int(index))
+            )
+        else:
+            segments.append(PatternSegment(name))
+    return KeyPattern(tuple(segments))
+
+
+def _scan_pattern(text: str) -> KeyPattern:
+    """The general parser, and the only one that reports errors."""
+    scanner = _NotationScanner(text)
     segments: list[PatternSegment] = []
     while True:
         name = scanner.read_name(allow_dollar=True)
@@ -401,6 +425,19 @@ def parse_pattern(text: str) -> KeyPattern:
             break
         scanner.expect(".")
     return KeyPattern(tuple(segments))
+
+
+def parse_pattern(text: str) -> KeyPattern:
+    """Parse a CPL configuration notation into a :class:`KeyPattern`.
+
+    Plain ASCII notations take a regular-expression fast path; everything
+    else, malformed text included, goes to the character scanner.
+
+    Raises :class:`~repro.errors.KeyNotationError` on malformed notation.
+    """
+    text = text.strip()
+    pattern = _parse_plain(text)
+    return pattern if pattern is not None else _scan_pattern(text)
 
 
 def parse_instance_key(text: str) -> InstanceKey:

@@ -27,18 +27,11 @@ Enable it by passing a :class:`ResiliencePolicy` to
 harness the tests and ``benchmarks/bench_resilience.py`` drive.
 """
 
-from .breaker import SpecCircuitBreaker, SpecGuard, statement_key
-from .chaos import FaultPlan, FaultyRuntimeProvider
-from .policy import ResiliencePolicy
-from .sources import SourceFailure, SourceSupervisor
+from .. import _exports
 
-__all__ = [
-    "ResiliencePolicy",
-    "SourceFailure",
-    "SourceSupervisor",
-    "SpecCircuitBreaker",
-    "SpecGuard",
-    "statement_key",
-    "FaultPlan",
-    "FaultyRuntimeProvider",
-]
+__all__, __getattr__, __dir__ = _exports.exports(__name__, {
+    ".breaker": ("SpecCircuitBreaker", "SpecGuard", "statement_key"),
+    ".chaos": ("FaultPlan", "FaultyRuntimeProvider"),
+    ".policy": ("ResiliencePolicy",),
+    ".sources": ("SourceFailure", "SourceSupervisor"),
+})

@@ -14,11 +14,8 @@ consumed by the evaluator's variable-substitution step, plus the
 
 from __future__ import annotations
 
-import datetime as _datetime
 import hashlib
 import os
-import platform
-import socket
 from typing import Mapping, Optional
 
 from .filesystem import FakeFileSystem, FileSystem, RealFileSystem
@@ -76,8 +73,15 @@ class RuntimeProvider:
 class HostRuntime(RuntimeProvider):
     """Reads facts from the host machine."""
 
+    # socket, platform and datetime load here, not at import: most runs
+    # never ask the host for facts
+
     def environment(self) -> dict[str, str]:
-        now = _datetime.datetime.now()
+        import datetime
+        import platform
+        import socket
+
+        now = datetime.datetime.now()
         return {
             "os": platform.system(),
             "hostname": socket.gethostname(),
@@ -87,6 +91,8 @@ class HostRuntime(RuntimeProvider):
         }
 
     def is_reachable(self, endpoint: str) -> bool:
+        import socket
+
         host, __, port_text = endpoint.partition(":")
         port = int(port_text) if port_text.isdigit() else 80
         try:

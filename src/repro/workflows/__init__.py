@@ -9,47 +9,15 @@ The engine merges every step's findings into one deterministic
 equivalent single-pass scan byte for byte.
 """
 
-from .crosscheck import CrossStoreChecker, extract_port
-from .engine import WorkflowEngine
-from .loader import load_workflow, parse_workflow
-from .model import (
-    Gate,
-    StepResult,
-    StepStatus,
-    Workflow,
-    WorkflowError,
-    WorkflowReport,
-    WorkflowStep,
-)
-from .rulepack import Rule, RulePack, load_rulepack, parse_rulepack
-from .steps import (
-    StepOutput,
-    WorkflowContext,
-    get_step_kind,
-    register_step_kind,
-    step_kinds,
-)
+from .. import _exports
 
-__all__ = [
-    "CrossStoreChecker",
-    "Gate",
-    "Rule",
-    "RulePack",
-    "StepOutput",
-    "StepResult",
-    "StepStatus",
-    "Workflow",
-    "WorkflowContext",
-    "WorkflowEngine",
-    "WorkflowError",
-    "WorkflowReport",
-    "WorkflowStep",
-    "extract_port",
-    "get_step_kind",
-    "load_rulepack",
-    "load_workflow",
-    "parse_rulepack",
-    "parse_workflow",
-    "register_step_kind",
-    "step_kinds",
-]
+__all__, __getattr__, __dir__ = _exports.exports(__name__, {
+    ".crosscheck": ("CrossStoreChecker", "extract_port"),
+    ".engine": ("WorkflowEngine",),
+    ".loader": ("load_workflow", "parse_workflow"),
+    ".model": ("Gate", "StepResult", "StepStatus", "Workflow", "WorkflowError",
+               "WorkflowReport", "WorkflowStep"),
+    ".rulepack": ("Rule", "RulePack", "load_rulepack", "parse_rulepack"),
+    ".steps": ("StepOutput", "WorkflowContext", "get_step_kind", "register_step_kind",
+               "step_kinds"),
+})

@@ -250,3 +250,60 @@ def test_property_instance_roundtrip(key):
         assert original.qualifier == reparsed.qualifier
         if original.qualifier is None:
             assert (original.ordinal == 1) == (reparsed.ordinal == 1)
+
+
+# ---------------------------------------------------------------------------
+# The plain-notation fast path agrees with the scanner
+# ---------------------------------------------------------------------------
+
+_FAST_ALPHABET = "aZ09_*-$:.[]' \\\té²"
+
+
+def _outcome(parse, text):
+    """A parse result, or the error it raised as ``(type name, message)``."""
+    try:
+        return parse(text)
+    except (KeyNotationError, ValueError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _random_notation(rng):
+    """A notation built segment by segment, then sometimes corrupted."""
+    parts = []
+    for _ in range(rng.randint(1, 4)):
+        name = rng.choice(["Cloud", "$var", "*IP", "a-b_1", "N0", "é", "*"])
+        tail = rng.choice(
+            ["", "::inst", "::$q", "::'East 1'", "::'a.b'", "[2]", "[007]", "[$i]"]
+        )
+        parts.append(name + tail)
+    text = ".".join(parts)
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        at = rng.randrange(len(text) + 1)
+        if rng.random() < 0.5:
+            text = text[:at] + rng.choice(_FAST_ALPHABET) + text[at:]
+        else:
+            text = text[:at] + text[at + 1:]
+    return text
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fast_path_agrees_with_scanner(seed):
+    """Equal patterns, or the same error, on random notations."""
+    import random
+
+    from repro.repository import keys
+
+    rng = random.Random(seed)
+    texts = [_random_notation(rng) for _ in range(800)]
+    texts += [
+        "".join(rng.choice(_FAST_ALPHABET) for _ in range(rng.randint(0, 8)))
+        for _ in range(400)
+    ]
+    fast = 0
+    for text in texts:
+        assert _outcome(parse_pattern, text) == _outcome(
+            keys._scan_pattern, text.strip()
+        ), text
+        fast += keys._parse_plain(text.strip()) is not None
+    # both paths are exercised: plain notations and ones only the scanner takes
+    assert 100 < fast < len(texts) - 100

@@ -425,6 +425,22 @@ class TestHotSpecDeterminism:
         assert rendered == type(self)._expected
         assert len(report.spec_profile) > 0
 
+    def test_merged_seconds_independent_of_merge_order(self):
+        # one 1 ms span read at four absolute clock values: the raw float
+        # differences disagree in their last bits
+        spans = [(start + 0.001) - start for start in (0.0, 0.123, 7.77, 1234.5)]
+        assert len(set(spans)) > 1
+        profiles = [
+            {(1, "spec"): {"evals": 1, "instances": 1, "violations": 0, "seconds": span}}
+            for span in spans
+        ]
+        forward, backward = {}, {}
+        for profile in profiles:
+            merge_spec_profiles(forward, profile)
+        for profile in reversed(profiles):
+            merge_spec_profiles(backward, profile)
+        assert forward[(1, "spec")]["seconds"] == backward[(1, "spec")]["seconds"] == 0.004
+
     def test_fingerprint_parity_across_executors_with_analytics(self, corpus):
         store, statements = corpus
         serial = ParallelValidator(

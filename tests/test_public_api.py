@@ -22,6 +22,11 @@ PACKAGES = [
     "repro.runtime",
     "repro.console",
     "repro.synthetic",
+    "repro.jobs",
+    "repro.observability",
+    "repro.parallel",
+    "repro.resilience",
+    "repro.workflows",
 ]
 
 
@@ -30,6 +35,22 @@ def test_all_exports_resolve(package_name):
     module = importlib.import_module(package_name)
     for name in getattr(module, "__all__", []):
         assert hasattr(module, name), f"{package_name}.{name} missing"
+
+
+@pytest.mark.parametrize("package_name", PACKAGES)
+def test_all_listed_by_dir(package_name):
+    module = importlib.import_module(package_name)
+    assert set(module.__all__) <= set(dir(module))
+    assert not hasattr(module, "no_such_export")
+
+
+@pytest.mark.parametrize("package_name", PACKAGES)
+def test_star_import(package_name):
+    module = importlib.import_module(package_name)
+    namespace = {}
+    exec(f"from {package_name} import *", namespace)
+    for name in module.__all__:
+        assert namespace[name] is getattr(module, name), name
 
 
 @pytest.mark.parametrize("package_name", PACKAGES)
