@@ -21,17 +21,25 @@ import time
 import pytest
 
 from repro.benchutil import format_table
-from repro.repository import NaiveIndex, TrieIndex
+from repro.repository import ConfigStore, NaiveIndex, TrieIndex
 from repro.repository.keys import parse_pattern
 
 
 @pytest.fixture(scope="module")
 def indexes(type_a_store):
     trie, naive = TrieIndex(), NaiveIndex()
-    for instance in type_a_store.instances():
-        trie.add(instance)
-        naive.add(instance)
+    trie.add_all(type_a_store.instances())
+    naive.add_all(type_a_store.instances())
     return trie, naive
+
+
+@pytest.fixture(scope="module")
+def stores(type_a_store):
+    """The same snapshot in a trie-backed and a naive-backed store."""
+    trie_store, naive_store = ConfigStore(), ConfigStore(index=NaiveIndex())
+    trie_store.add_all(type_a_store.instances())
+    naive_store.add_all(type_a_store.instances())
+    return trie_store, naive_store
 
 
 @pytest.fixture(scope="module")
@@ -65,14 +73,19 @@ def measured_seconds(benchmark, fn):
     return time.perf_counter() - started
 
 
-def test_discovery_equivalence_and_speedup(benchmark, emit, indexes, query_storm):
+def test_discovery_equivalence_and_speedup(
+    benchmark, emit, indexes, stores, query_storm
+):
     trie, naive = indexes
+    trie_store, naive_store = stores
 
-    # correctness first: identical result sets on every pattern
+    # correctness first: identical result sets on every pattern, and
+    # identical load-ordered lists from the stores built on each index
     for pattern in query_storm[:150]:
         got_trie = {i.key.render() for i in trie.query(pattern)}
         got_naive = {i.key.render() for i in naive.query(pattern)}
         assert got_trie == got_naive, pattern.render()
+        assert trie_store.query(pattern) == naive_store.query(pattern), pattern.render()
 
     started = time.perf_counter()
     naive_total = replay(naive, query_storm)
@@ -106,8 +119,7 @@ def test_discovery_cold_trie_still_wins(benchmark, indexes, query_storm):
     distinct = list({p.render(): p for p in query_storm}.values())
 
     fresh_trie = TrieIndex(cache_size=0)
-    for instance in trie.instances():
-        fresh_trie.add(instance)
+    fresh_trie.add_all(trie.instances())
 
     started = time.perf_counter()
     replay(naive, distinct)

@@ -39,7 +39,7 @@ from .report import Severity, ValidationReport, Violation
 __all__ = ["Evaluator", "Item", "Context"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Item:
     """A value flowing through validation, with provenance for reports."""
 
@@ -481,7 +481,8 @@ class Evaluator:
                             or prefix[:len(outer)] != outer
                         ):
                             continue
-                    found.setdefault(tuple(prefix), InstanceKey(prefix))
+                    if prefix not in found:
+                        found[prefix] = InstanceKey(prefix)
         result = list(found.values())
         self._scope_cache[cache_key] = result
         return result

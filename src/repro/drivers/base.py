@@ -18,7 +18,9 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from ..errors import DriverError, UnknownDriverError
 from ..observability import get_metrics
-from ..repository.keys import InstanceKey, InstanceSegment, parse_pattern
+from ..repository.keys import (
+    InstanceKey, InstanceSegment, concrete_segments, parse_pattern, segment,
+)
 from ..repository.model import ConfigInstance
 from ..runtime import clock as _clock
 
@@ -131,18 +133,10 @@ def scope_segments(scope: str) -> tuple[InstanceSegment, ...]:
     """Parse a user-supplied scope prefix into concrete instance segments."""
     if not scope:
         return ()
-    pattern = parse_pattern(scope)
-    segments = []
-    for p in pattern.segments:
-        if p.variables or "*" in p.name:
-            raise DriverError(f"scope prefix cannot contain wildcards: {scope!r}")
-        if p.kind == "named":
-            segments.append(InstanceSegment(p.name, str(p.qualifier)))
-        elif p.kind == "ordinal":
-            segments.append(InstanceSegment(p.name, None, int(p.qualifier)))
-        else:
-            segments.append(InstanceSegment(p.name))
-    return tuple(segments)
+    segments = concrete_segments(parse_pattern(scope))
+    if segments is None:
+        raise DriverError(f"scope prefix cannot contain wildcards: {scope!r}")
+    return segments
 
 
 def _scalar(value: object) -> str:
@@ -206,7 +200,7 @@ def _walk_child(
             if attr in child:
                 qualifier = str(child[attr])
                 break
-        scope = prefix + (InstanceSegment(key, qualifier),)
+        scope = prefix + (segment(key, qualifier),)
         _walk_value(child, scope, source, name_attrs, out)
     elif isinstance(child, (list, tuple)) and any(
         isinstance(item, Mapping) for item in child
@@ -218,10 +212,10 @@ def _walk_child(
                     if attr in item:
                         qualifier = str(item[attr])
                         break
-                scope = prefix + (InstanceSegment(key, qualifier, ordinal),)
+                scope = prefix + (segment(key, qualifier, ordinal),)
                 _walk_value(item, scope, source, name_attrs, out)
             else:
-                scope = prefix + (InstanceSegment(key, None, ordinal),)
+                scope = prefix + (segment(key, None, ordinal),)
                 out.append(ConfigInstance(InstanceKey(scope), _scalar(item), source))
     else:
-        _walk_value(child, prefix + (InstanceSegment(key),), source, name_attrs, out)
+        _walk_value(child, prefix + (segment(key),), source, name_attrs, out)

@@ -14,7 +14,7 @@ import csv
 import io
 
 from ..errors import DriverError
-from ..repository.keys import InstanceKey, InstanceSegment
+from ..repository.keys import InstanceKey, segment
 from ..repository.model import ConfigInstance
 from .base import Driver, register_driver, scope_segments
 
@@ -50,11 +50,11 @@ class CSVDriver(Driver):
                     f"expected {len(header)}"
                 )
             qualifier = row[name_column].strip() if name_column is not None else None
-            record = prefix + (InstanceSegment(record_name, qualifier, ordinal),)
+            record = prefix + (segment(record_name, qualifier, ordinal),)
             for column, cell in zip(header, row):
                 out.append(
                     ConfigInstance(
-                        InstanceKey(record + (InstanceSegment(column),)),
+                        InstanceKey(record + (segment(column),)),
                         cell.strip(),
                         source,
                     )

@@ -19,7 +19,7 @@ visible history" rather than silently dropping earlier assignments.
 from __future__ import annotations
 
 from ..errors import DriverError
-from ..repository.keys import InstanceKey, InstanceSegment
+from ..repository.keys import InstanceKey, segment
 from ..repository.model import ConfigInstance
 from .base import Driver, register_driver, scope_segments
 
@@ -80,7 +80,7 @@ class EnvFileDriver(Driver):
                 comment = value.find(" #")
                 if comment >= 0:
                     value = value[:comment].rstrip()
-            segments = tuple(InstanceSegment(part) for part in key.split("."))
+            segments = tuple(map(segment, key.split(".")))
             out.append(ConfigInstance(InstanceKey(prefix + segments), value, source))
         return out
 

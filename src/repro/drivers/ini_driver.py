@@ -17,7 +17,7 @@ OpenStack's ``MultiStrOpt`` behaves this way.
 from __future__ import annotations
 
 from ..errors import DriverError
-from ..repository.keys import InstanceKey, InstanceSegment
+from ..repository.keys import InstanceKey, InstanceSegment, segment
 from ..repository.model import ConfigInstance
 from .base import Driver, register_driver, scope_segments
 
@@ -52,7 +52,7 @@ class INIDriver(Driver):
                 raise DriverError(
                     f"{source or '<string>'}:{lineno}: expected 'key = value'"
                 )
-            key_segments = tuple(InstanceSegment(part) for part in key.split("."))
+            key_segments = tuple(map(segment, key.split(".")))
             out.append(
                 ConfigInstance(
                     InstanceKey(prefix + section + key_segments), value, source

@@ -39,7 +39,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from ..errors import DriverError
-from ..repository.keys import InstanceKey, InstanceSegment
+from ..repository.keys import InstanceKey, InstanceSegment, segment
 from ..repository.model import ConfigInstance
 from .base import Driver, register_driver, scope_segments
 
@@ -109,8 +109,7 @@ class XMLDriver(Driver):
                 node.settings[key] = value
                 continue
             ordinals[tag] += 1
-            segment = InstanceSegment(tag, self._qualifier(child), ordinals[tag])
-            child_node = _ScopeNode(segment)
+            child_node = _ScopeNode(segment(tag, self._qualifier(child), ordinals[tag]))
             node.children.append(child_node)
             if len(child) == 0 and not child.attrib and child.text and child.text.strip():
                 # Leaf element with bare text: treat the tag as a parameter of
@@ -161,7 +160,7 @@ class XMLDriver(Driver):
         path = prefix if node.segment is None else prefix + (node.segment,)
         for key, value in {**node.attributes, **node.settings}.items():
             out.append(
-                ConfigInstance(InstanceKey(path + (InstanceSegment(key),)), value, source)
+                ConfigInstance(InstanceKey(path + (segment(key),)), value, source)
             )
         for child in node.children:
             self._emit_raw(child, path, source, out)
@@ -179,7 +178,7 @@ class XMLDriver(Driver):
         # Attributes are identity-like (never inherited): emit at their scope.
         for key, value in node.attributes.items():
             out.append(
-                ConfigInstance(InstanceKey(path + (InstanceSegment(key),)), value, source)
+                ConfigInstance(InstanceKey(path + (segment(key),)), value, source)
             )
         if node.children:
             for child in node.children:
@@ -188,7 +187,7 @@ class XMLDriver(Driver):
             for key, value in effective.items():
                 out.append(
                     ConfigInstance(
-                        InstanceKey(path + (InstanceSegment(key),)), value, source
+                        InstanceKey(path + (segment(key),)), value, source
                     )
                 )
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from ..errors import DriverError
 from .base import Driver, register_driver, scope_segments, walk_mapping
-from ..repository.keys import InstanceSegment
+from ..repository.keys import InstanceSegment, segment
 from ..repository.model import ConfigInstance
 
 __all__ = ["YAMLDriver"]
@@ -78,9 +78,9 @@ class YAMLDriver(Driver):
                 metadata = document.get("metadata")
                 name = metadata.get("name") if isinstance(metadata, dict) else None
                 if isinstance(name, str) and name:
-                    return InstanceSegment(kind, name)
-                return InstanceSegment(kind, None, ordinal)
-        return InstanceSegment("doc", None, ordinal)
+                    return segment(kind, name)
+                return segment(kind, None, ordinal)
+        return segment("doc", None, ordinal)
 
 
 register_driver(YAMLDriver())

@@ -37,7 +37,7 @@ single-quoted when rendered (``CloudGroup::'East1 Production'``).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -46,6 +46,8 @@ from ..errors import KeyNotationError
 __all__ = [
     "InstanceSegment",
     "InstanceKey",
+    "segment",
+    "concrete_segments",
     "PatternSegment",
     "KeyPattern",
     "parse_pattern",
@@ -79,7 +81,7 @@ def _quote_if_needed(text: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InstanceSegment:
     """One scope (or leaf parameter) level of a fully qualified instance key."""
 
@@ -95,7 +97,35 @@ class InstanceSegment:
         return self.name
 
 
-@dataclass(frozen=True)
+#: canonical segments by value; a plain name is its own table key, so the
+#: common case allocates no lookup tuple
+_SEGMENTS: dict[object, InstanceSegment] = {}
+#: the table is cleared wholesale when full, so churning qualifiers in a
+#: long-running service cannot grow it without limit
+SEGMENT_TABLE_CAP = 65536
+
+
+def segment(
+    name: str, qualifier: Optional[str] = None, ordinal: int = 1
+) -> InstanceSegment:
+    """The canonical :class:`InstanceSegment` for one value.
+
+    A corpus repeats a few hundred distinct segments across thousands of
+    instances, so drivers build every segment here and equal segments share
+    one object.  Equality stays by value: nothing relies on identity, so
+    two threads racing to create one segment leave equal copies, harmlessly.
+    """
+    plain = qualifier is None and ordinal == 1
+    table_key = name if plain else (name, qualifier, ordinal)
+    found = _SEGMENTS.get(table_key)
+    if found is None:
+        if len(_SEGMENTS) >= SEGMENT_TABLE_CAP:
+            _SEGMENTS.clear()
+        found = _SEGMENTS[table_key] = InstanceSegment(name, qualifier, ordinal)
+    return found
+
+
+@dataclass(frozen=True, slots=True)
 class InstanceKey:
     """A fully qualified, unique identity for one configuration instance."""
 
@@ -112,15 +142,9 @@ class InstanceKey:
         Each part is a plain name, a ``(name, qualifier)`` pair, or a
         ``(name, qualifier, ordinal)`` triple.
         """
-        segments = []
-        for part in parts:
-            if isinstance(part, str):
-                segments.append(InstanceSegment(part))
-            elif len(part) == 2:
-                segments.append(InstanceSegment(part[0], part[1]))
-            else:
-                segments.append(InstanceSegment(part[0], part[1], part[2]))
-        return cls(tuple(segments))
+        return cls(tuple(
+            segment(part) if isinstance(part, str) else segment(*part) for part in parts
+        ))
 
     @property
     def class_key(self) -> tuple[str, ...]:
@@ -440,25 +464,28 @@ def parse_pattern(text: str) -> KeyPattern:
     return pattern if pattern is not None else _scan_pattern(text)
 
 
+def concrete_segments(pattern: KeyPattern) -> Optional[tuple[InstanceSegment, ...]]:
+    """The instance segments a pattern names, or ``None`` when it is not
+    concrete (wildcard names or ``$var`` segments)."""
+    if not pattern.is_concrete:
+        return None
+    return tuple(
+        segment(p.name, p.qualifier) if p.kind == NAMED
+        else segment(p.name, None, p.qualifier) if p.kind == ORDINAL
+        else segment(p.name)
+        for p in pattern.segments
+    )
+
+
 def parse_instance_key(text: str) -> InstanceKey:
     """Parse the canonical rendering of an instance key back into an object.
 
     Only notations produced by :meth:`InstanceKey.render` are accepted: each
     segment is a plain name, ``name::qualifier`` or ``name[ordinal]``.
     """
-    pattern = parse_pattern(text)
-    segments = []
-    for p in pattern.segments:
-        if p.variables or "*" in p.name:
-            raise KeyNotationError(
-                f"instance keys cannot contain wildcards or variables: {text!r}"
-            )
-        if p.kind == NAMED:
-            assert isinstance(p.qualifier, str)
-            segments.append(InstanceSegment(p.name, p.qualifier))
-        elif p.kind == ORDINAL:
-            assert isinstance(p.qualifier, int)
-            segments.append(InstanceSegment(p.name, None, p.qualifier))
-        else:
-            segments.append(InstanceSegment(p.name))
-    return InstanceKey(tuple(segments))
+    segments = concrete_segments(parse_pattern(text))
+    if segments is None:
+        raise KeyNotationError(
+            f"instance keys cannot contain wildcards or variables: {text!r}"
+        )
+    return InstanceKey(segments)

@@ -21,7 +21,7 @@ from .keys import InstanceKey
 __all__ = ["ConfigInstance", "ConfigClass"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConfigInstance:
     """One concrete configuration value at one fully qualified key."""
 

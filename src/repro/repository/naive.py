@@ -17,9 +17,10 @@ the per-query work mirrors the paper's description.
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import chain
 from typing import Iterable
 
-from .keys import InstanceKey, KeyPattern
+from .keys import KeyPattern
 from .model import ConfigInstance
 
 __all__ = ["NaiveIndex"]
@@ -29,23 +30,28 @@ class NaiveIndex:
     """Segment-by-segment filtering over per-length candidate lists."""
 
     def __init__(self) -> None:
-        self._by_length: dict[int, list[ConfigInstance]] = defaultdict(list)
+        # (load position, instance) pairs, grouped by key length
+        self._by_length: dict[int, list[tuple[int, ConfigInstance]]] = defaultdict(list)
         self._count = 0
 
     def add(self, instance: ConfigInstance) -> None:
-        self._by_length[len(instance.key)].append(instance)
-        self._count += 1
+        self.add_all((instance,))
+
+    def add_all(self, instances: Iterable[ConfigInstance]) -> None:
+        for instance in instances:
+            self._by_length[len(instance.key)].append((self._count, instance))
+            self._count += 1
 
     def __len__(self) -> int:
         return self._count
 
     def instances(self) -> Iterable[ConfigInstance]:
-        for bucket in self._by_length.values():
-            yield from bucket
+        return _load_order(chain.from_iterable(self._by_length.values()))
 
-    def query(self, pattern: KeyPattern) -> list[ConfigInstance]:
+    def query(self, pattern: KeyPattern) -> tuple[ConfigInstance, ...]:
+        """Every instance matching ``pattern``, in load order."""
         depth = len(pattern)
-        results: list[ConfigInstance] = []
+        results: list[tuple[int, ConfigInstance]] = []
         for length, bucket in self._by_length.items():
             if length < depth:
                 continue
@@ -55,12 +61,16 @@ class NaiveIndex:
             for offset in range(depth):
                 segment = pattern.segments[offset]
                 survivors = []
-                for instance in candidates:
-                    key_segment = instance.key.segments[length - depth + offset]
+                for entry in candidates:
+                    key_segment = entry[1].key.segments[length - depth + offset]
                     if segment.matches(key_segment):
-                        survivors.append(instance)
+                        survivors.append(entry)
                 candidates = survivors
                 if not candidates:
                     break
             results.extend(candidates)
-        return results
+        return _load_order(results)
+
+
+def _load_order(entries: Iterable[tuple[int, ConfigInstance]]) -> tuple:
+    return tuple(instance for __, instance in sorted(entries))

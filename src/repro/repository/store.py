@@ -10,11 +10,10 @@ baseline for the §5.2 comparison).
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Iterable, Iterator, Optional, Union
 
 from ..errors import ConfValleyError
-from .keys import InstanceKey, InstanceSegment, KeyPattern, parse_pattern
+from .keys import InstanceKey, KeyPattern, parse_pattern, segment
 from .model import ConfigClass, ConfigInstance
 from .naive import NaiveIndex
 from .trie import TrieIndex
@@ -29,7 +28,6 @@ class ConfigStore:
         self._index = index if index is not None else TrieIndex()
         self._by_key: dict[InstanceKey, ConfigInstance] = {}
         self._classes: dict[tuple[str, ...], ConfigClass] = {}
-        self._order: dict[InstanceKey, int] = {}
         self.query_count = 0
 
     # ------------------------------------------------------------------
@@ -38,31 +36,33 @@ class ConfigStore:
 
     def add(self, instance: ConfigInstance) -> ConfigInstance:
         """Register one instance, disambiguating duplicate keys by ordinal."""
+        instance = self._register(instance)
+        self._index.add(instance)
+        return instance
+
+    def add_all(self, instances: Iterable[ConfigInstance]) -> None:
+        """Register a batch in load order; the index is invalidated once."""
+        self._index.add_all(self._register(instance) for instance in instances)
+
+    def _register(self, instance: ConfigInstance) -> ConfigInstance:
         key = instance.key
         if key in self._by_key:
             key = self._next_free_key(key)
             instance = ConfigInstance(key, instance.value, instance.source)
         self._by_key[key] = instance
-        self._order[key] = len(self._order)
-        self._index.add(instance)
-        cls = self._classes.get(instance.class_key)
+        class_key = instance.class_key
+        cls = self._classes.get(class_key)
         if cls is None:
-            cls = ConfigClass(instance.class_key)
-            self._classes[instance.class_key] = cls
+            cls = self._classes[class_key] = ConfigClass(class_key)
         cls.instances.append(instance)
         return instance
-
-    def add_all(self, instances: Iterable[ConfigInstance]) -> None:
-        for instance in instances:
-            self.add(instance)
 
     def _next_free_key(self, key: InstanceKey) -> InstanceKey:
         leaf = key.segments[-1]
         ordinal = leaf.ordinal + 1
         while True:
             candidate = InstanceKey(
-                key.segments[:-1]
-                + (InstanceSegment(leaf.name, leaf.qualifier, ordinal),)
+                key.segments[:-1] + (segment(leaf.name, leaf.qualifier, ordinal),)
             )
             if candidate not in self._by_key:
                 return candidate
@@ -72,17 +72,17 @@ class ConfigStore:
     # Queries
     # ------------------------------------------------------------------
 
-    def query(self, pattern: Union[str, KeyPattern]) -> list[ConfigInstance]:
+    def query(self, pattern: Union[str, KeyPattern]) -> tuple[ConfigInstance, ...]:
         """Find every instance whose key matches ``pattern`` (suffix match).
 
-        Results come back in load order so aggregate predicates (unique,
-        order) blame instances deterministically.
+        Results come back in load order, kept by the index, so aggregate
+        predicates (unique, order) blame instances deterministically.  The
+        result is shared with the index's query cache, hence immutable.
         """
         if isinstance(pattern, str):
             pattern = parse_pattern(pattern)
         self.query_count += 1
-        results = self._index.query(pattern)
-        return sorted(results, key=lambda i: self._order[i.key])
+        return self._index.query(pattern)
 
     def get(self, key: Union[str, InstanceKey]) -> Optional[ConfigInstance]:
         if isinstance(key, str):
@@ -130,12 +130,11 @@ class ConfigStore:
         back (ordinal stripped) and reports groups spanning several sources
         whose values disagree.  Returns ``(logical key, instances)`` pairs.
         """
-        groups: dict[str, list[ConfigInstance]] = {}
+        groups: dict[str, list[ConfigInstance]] = {}  # members in load order
         for instance in self._by_key.values():
             leaf = instance.key.segments[-1]
             logical = InstanceKey(
-                instance.key.segments[:-1]
-                + (InstanceSegment(leaf.name, leaf.qualifier, 1),)
+                instance.key.segments[:-1] + (segment(leaf.name, leaf.qualifier),)
             ).render()
             groups.setdefault(logical, []).append(instance)
         conflicts = []
@@ -145,7 +144,5 @@ class ConfigStore:
             sources = {m.source for m in members}
             values = {m.value for m in members}
             if len(sources) > 1 and len(values) > 1:
-                conflicts.append(
-                    (logical, sorted(members, key=lambda m: self._order[m.key]))
-                )
+                conflicts.append((logical, members))
         return sorted(conflicts)

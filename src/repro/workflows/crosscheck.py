@@ -30,7 +30,7 @@ from typing import Optional
 
 from ..core.report import ValidationReport, Violation
 from ..core.session import ValidationSession
-from ..repository.keys import InstanceKey, InstanceSegment
+from ..repository.keys import InstanceKey, segment
 from ..repository.model import ConfigInstance
 from ..repository.store import ConfigStore
 from .rulepack import Rule, RulePack
@@ -70,16 +70,15 @@ class CrossStoreChecker:
         """All stores under their name prefixes, in sorted store order."""
         if self._merged is None:
             merged = ConfigStore()
-            for name in sorted(self.stores):
-                prefix = (InstanceSegment(name),)
-                for instance in self.stores[name].instances():
-                    merged.add(
-                        ConfigInstance(
-                            InstanceKey(prefix + instance.key.segments),
-                            instance.value,
-                            instance.source,
-                        )
-                    )
+            merged.add_all(
+                ConfigInstance(
+                    InstanceKey((segment(name),) + instance.key.segments),
+                    instance.value,
+                    instance.source,
+                )
+                for name in sorted(self.stores)
+                for instance in self.stores[name].instances()
+            )
             self._merged = merged
         return self._merged
 

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.repository import NaiveIndex, TrieIndex
+from repro.errors import ConfValleyError
+from repro.repository import ConfigStore, NaiveIndex, TrieIndex
 from repro.repository.keys import InstanceKey, InstanceSegment, parse_pattern
 from repro.repository.model import ConfigInstance
 
@@ -94,6 +95,37 @@ class TestCaching:
         assert len(trie.query(pattern)) == 1
         assert len(trie.query(parse_pattern("GlobalFlag2"))) == 1
 
+    def test_add_all_invalidates_cache(self):
+        trie, __ = build_indexes(sample_keys())
+        pattern = parse_pattern("GlobalFlag")
+        assert len(trie.query(pattern)) == 1
+        trie.add_all(
+            ConfigInstance(InstanceKey.build(("Zone", z), "GlobalFlag"), z, "t")
+            for z in ("z1", "z2")
+        )
+        assert [i.value for i in trie.query(pattern)][1:] == ["z1", "z2"]
+
+    def test_failed_batch_still_invalidates_cache(self):
+        trie, __ = build_indexes(sample_keys())
+        pattern = parse_pattern("GlobalFlag")
+        assert len(trie.query(pattern)) == 1
+
+        def batch():
+            yield ConfigInstance(InstanceKey.build(("Zone", "z"), "GlobalFlag"), "x", "t")
+            raise RuntimeError("source went away")
+
+        with pytest.raises(RuntimeError):
+            trie.add_all(batch())
+        assert len(trie.query(pattern)) == 2
+
+    def test_cached_result_is_immutable(self):
+        trie, __ = build_indexes(sample_keys())
+        pattern = parse_pattern("Tenant.SecretKey")
+        first = trie.query(pattern)
+        with pytest.raises((AttributeError, TypeError)):
+            first.append(first[0])  # type: ignore[attr-defined]
+        assert trie.query(pattern) == first
+
     def test_len_and_iteration(self):
         keys = sample_keys()
         trie, naive = build_indexes(keys)
@@ -152,3 +184,102 @@ def test_property_trie_naive_equivalence(keys, pattern_text):
     got_trie = sorted(i.value for i in trie.query(pattern))
     got_naive = sorted(i.value for i in naive.query(pattern))
     assert got_trie == got_naive
+
+
+# ---------------------------------------------------------------------------
+# Property: trie- and naive-backed stores agree *in order* (load order)
+# ---------------------------------------------------------------------------
+
+_store_names = st.sampled_from(["A", "B", "K", "IP", "Port"])
+_store_quals = st.one_of(st.none(), st.sampled_from(["x", "y"]))
+
+
+@st.composite
+def _random_loads(draw):
+    """Instances from several sources, with colliding keys, plus a batch split."""
+    count = draw(st.integers(min_value=1, max_value=16))
+    instances = []
+    for index in range(count):
+        depth = draw(st.integers(min_value=1, max_value=3))
+        key = InstanceKey(
+            tuple(
+                InstanceSegment(
+                    draw(_store_names),
+                    draw(_store_quals),
+                    draw(st.integers(min_value=1, max_value=2)),
+                )
+                for __ in range(depth)
+            )
+        )
+        value = draw(st.sampled_from(["1", "2", f"v{index}"]))
+        source = draw(st.sampled_from(["s1.ini", "s2.ini", "s3.xml"]))
+        instances.append(ConfigInstance(key, value, source))
+    split = draw(st.integers(min_value=0, max_value=count))
+    return instances, split
+
+
+@st.composite
+def _store_pattern(draw):
+    """A pattern, already substituted when it uses ``$var`` segments."""
+    env = {"n": draw(st.sampled_from(["A", "K"])),
+           "q": draw(st.sampled_from(["x", "y"])),
+           "i": draw(st.integers(min_value=1, max_value=3))}
+    parts = []
+    for __ in range(draw(st.integers(min_value=1, max_value=3))):
+        name = draw(st.sampled_from(["A", "B", "K", "IP", "*", "*P", "$n"]))
+        kind = draw(
+            st.sampled_from(["any", "named", "ordinal", "var-named", "var-ordinal"])
+        )
+        if kind == "named":
+            parts.append(f"{name}::{draw(st.sampled_from(['x', 'y', '*']))}")
+        elif kind == "ordinal":
+            parts.append(f"{name}[{draw(st.integers(min_value=1, max_value=3))}]")
+        elif kind == "var-named":
+            parts.append(f"{name}::$q")
+        elif kind == "var-ordinal":
+            parts.append(f"{name}[$i]")
+        else:
+            parts.append(name)
+    return parse_pattern(".".join(parts)).substitute(env)
+
+
+def _load(store, instances, split):
+    store.add_all(instances[:split])
+    for instance in instances[split:]:
+        store.add(instance)
+    return store
+
+
+def _get_outcome(store, key):
+    try:
+        found = store.get(key)
+    except ConfValleyError:
+        return "ambiguous"
+    return None if found is None else (found.key, found.value, found.source)
+
+
+@given(_random_loads(), st.lists(_store_pattern(), min_size=1, max_size=4))
+@settings(max_examples=200, derandomize=True)
+def test_property_store_order_exact(loads, patterns):
+    instances, split = loads
+    trie_store = _load(ConfigStore(), instances, split)
+    naive_store = _load(ConfigStore(index=NaiveIndex()), instances, split)
+    loaded = list(trie_store.instances())
+    assert loaded == list(naive_store.instances())
+    for pattern in patterns:
+        expected = tuple(i for i in loaded if pattern.matches(i.key))
+        # twice: the second answer comes from the trie's query cache
+        for __ in range(2):
+            assert trie_store.query(pattern) == expected
+            assert naive_store.query(pattern) == expected
+        rendered = pattern.render()
+        assert _get_outcome(trie_store, rendered) == _get_outcome(naive_store, rendered)
+    for instance in loaded:
+        assert trie_store.get(instance.key) == naive_store.get(instance.key) == instance
+        rendered = instance.key.render()
+        assert _get_outcome(trie_store, rendered) == _get_outcome(naive_store, rendered)
+    conflicts = trie_store.cross_source_conflicts()
+    assert conflicts == naive_store.cross_source_conflicts()
+    for __, members in conflicts:
+        positions = [loaded.index(member) for member in members]
+        assert positions == sorted(positions)
