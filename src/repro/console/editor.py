@@ -160,30 +160,15 @@ def check_spec_text(spec_text: str) -> list[Diagnostic]:
     diagnostics: list[Diagnostic] = []
 
     def walk_predicates(node, line):
-        stack = [node]
-        while stack:
-            current = stack.pop()
-            if isinstance(current, (list, tuple)):
-                stack.extend(current)
-            elif isinstance(current, ast.MacroRef):
-                if current.name not in defined_macros:
-                    diagnostics.append(
-                        Diagnostic(line, "error", f"undefined macro @{current.name}")
-                    )
-            elif isinstance(current, ast.PrimitiveCall):
-                if not is_registered(current.name):
-                    diagnostics.append(
-                        Diagnostic(
-                            line, "error", f"unknown predicate {current.name!r}"
-                        )
-                    )
-            elif hasattr(current, "__dataclass_fields__"):
-                for name in current.__dataclass_fields__:
-                    value = getattr(current, name)
-                    if isinstance(value, (list, tuple)):
-                        stack.extend(value)
-                    elif isinstance(value, ast.Node):
-                        stack.append(value)
+        for current in ast.walk(node):
+            if isinstance(current, ast.MacroRef) and current.name not in defined_macros:
+                diagnostics.append(
+                    Diagnostic(line, "error", f"undefined macro @{current.name}")
+                )
+            elif isinstance(current, ast.PrimitiveCall) and not is_registered(current.name):
+                diagnostics.append(
+                    Diagnostic(line, "error", f"unknown predicate {current.name!r}")
+                )
 
     def walk_statements(statements):
         for statement in statements:

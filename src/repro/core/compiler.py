@@ -30,7 +30,6 @@ bookkeeping changes, since merged specs evaluate as one.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import replace
 from typing import Optional, Sequence
 
 from ..cpl import ast
@@ -80,28 +79,14 @@ def optimize_statements(
     options = options or CompilerOptions()
     out: list[ast.Statement] = []
     for statement in statements:
-        if isinstance(statement, ast.NamespaceBlock):
-            out.append(
-                replace(
-                    statement,
-                    body=tuple(optimize_statements(statement.body, options)),
-                )
-            )
-        elif isinstance(statement, ast.CompartmentBlock):
-            out.append(
-                replace(
-                    statement,
-                    body=tuple(optimize_statements(statement.body, options)),
-                )
-            )
+        if isinstance(statement, (ast.NamespaceBlock, ast.CompartmentBlock)):
+            body = tuple(optimize_statements(statement.body, options))
+            out.append(statement.replace(body=body))
         elif isinstance(statement, ast.IfStatement):
-            out.append(
-                replace(
-                    statement,
-                    then=tuple(optimize_statements(statement.then, options)),
-                    otherwise=tuple(optimize_statements(statement.otherwise, options)),
-                )
-            )
+            out.append(statement.replace(
+                then=tuple(optimize_statements(statement.then, options)),
+                otherwise=tuple(optimize_statements(statement.otherwise, options)),
+            ))
         elif isinstance(statement, ast.SpecStatement) and options.omit_implied:
             out.append(_elide_implied(statement))
         else:
@@ -157,8 +142,7 @@ def _aggregate_predicates(
         if simplify:
             # re-run (c): merging may expose newly implied conjuncts
             predicate = simplify_predicate(predicate)
-        merged = replace(
-            group[0],
+        merged = group[0].replace(
             steps=(ast.PredicateStep(predicate),),
             text=" & ".join(s.text or "<spec>" for s in group),
         )
@@ -209,8 +193,7 @@ def _aggregate_domains(statements: list[ast.Statement]) -> list[ast.Statement]:
         if len(group) < 2:
             continue
         domains = tuple(spec.domain for spec in group)
-        merged = replace(
-            group[0],
+        merged = group[0].replace(
             domain=ast.UnionDomain(domains),
             text=" , ".join(s.text or "<spec>" for s in group),
         )
@@ -296,4 +279,4 @@ def _elide_implied(spec: ast.SpecStatement) -> ast.SpecStatement:
     simplified = simplify_predicate(final.predicate)
     if simplified is final.predicate:
         return spec
-    return replace(spec, steps=spec.steps[:-1] + (ast.PredicateStep(simplified),))
+    return spec.replace(steps=spec.steps[:-1] + (ast.PredicateStep(simplified),))

@@ -77,7 +77,6 @@ from ..repository.keys import (
 from ..repository.store import ConfigStore
 from ..repository.versioned import ChangeSet
 from ..runtime import RuntimeProvider
-from .evaluator import _collect_notations
 from .policy import ValidationPolicy
 from .report import ValidationReport
 from .session import ValidationSession
@@ -106,22 +105,8 @@ def _widen_variables(pattern: KeyPattern) -> KeyPattern:
     return KeyPattern(tuple(segments))
 
 
-def _walk(node) -> Iterator[object]:
-    """Yield every AST node in a subtree (lists/tuples flattened)."""
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        if isinstance(current, (list, tuple)):
-            stack.extend(current)
-            continue
-        if hasattr(current, "__dataclass_fields__"):
-            yield current
-            for name in current.__dataclass_fields__:
-                stack.append(getattr(current, name))
-
-
 def _collect_macro_refs(node) -> Iterator[str]:
-    for current in _walk(node):
+    for current in ast.walk(node):
         if isinstance(current, ast.MacroRef):
             yield current.name
 
@@ -150,13 +135,13 @@ def _is_volatile(statement, macros: Mapping[str, ast.PredExpr]) -> bool:
     """True when the statement's verdict can change without a data change."""
     subtrees = [statement, *_reachable_macro_bodies(statement, macros)]
     for subtree in subtrees:
-        for node in _walk(subtree):
+        for node in ast.walk(subtree):
             if (
                 isinstance(node, ast.PrimitiveCall)
                 and node.name in _VOLATILE_PRIMITIVES
             ):
                 return True
-        for notation in _collect_notations(subtree):
+        for notation in ast.notations(subtree):
             if _is_env_notation(notation):
                 return True
     return False
@@ -165,7 +150,7 @@ def _is_volatile(statement, macros: Mapping[str, ast.PredExpr]) -> bool:
 def _compartment_patterns(statement) -> list[KeyPattern]:
     """Compartment names declared anywhere inside a statement, as patterns."""
     patterns = []
-    for node in _walk(statement):
+    for node in ast.walk(statement):
         name = None
         if isinstance(node, ast.CompartmentBlock):
             name = node.name
@@ -193,7 +178,7 @@ def _statement_patterns(
     seen_variables: set[str] = set()
     subtrees = [statement, *_reachable_macro_bodies(statement, macros)]
     for subtree in subtrees:
-        for notation in _collect_notations(subtree):
+        for notation in ast.notations(subtree):
             if notation == "_":
                 continue
             try:

@@ -17,8 +17,8 @@ re-query, or a predicated transformation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from operator import attrgetter
+from typing import Iterator, Optional, Union
 
 __all__ = [
     "Node",
@@ -59,13 +59,94 @@ __all__ = [
     "PredExpr",
     "Step",
     "Operand",
+    "walk",
+    "notations",
 ]
 
 
-class Node:
-    """Marker base class for all AST nodes."""
+class _NodeType(type):
+    """Makes each annotated field of a node class a slot, in order.
 
-    __slots__ = ()
+    A class-level value given for a field becomes that field's default.
+    """
+
+    def __new__(mcs, name, bases, namespace):
+        fields = tuple(
+            field for field in namespace.get("__annotations__", ())
+            if not field.startswith("_")
+        )
+        namespace["_defaults"] = {
+            field: namespace.pop(field) for field in fields if field in namespace
+        }
+        namespace["__slots__"] = namespace["_fields"] = fields
+        cls = super().__new__(mcs, name, bases, namespace)
+        if len(fields) > 1:
+            cls._values = staticmethod(attrgetter(*fields))
+        elif fields:
+            get = attrgetter(fields[0])
+            cls._values = staticmethod(lambda node: (get(node),))
+        else:
+            cls._values = staticmethod(lambda node: ())
+        return cls
+
+
+class Node(metaclass=_NodeType):
+    """Base class of every AST node: immutable, slotted, compared by value.
+
+    A node class declares its fields as annotations, optional trailing ones
+    with a default.  The constructor (positional or keyword), ``==``,
+    ``hash``, ``repr``, pickling and :meth:`replace` all derive from that
+    one field tuple.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields, assign = self._fields, object.__setattr__
+        if len(args) > len(fields):
+            raise TypeError(f"{type(self).__name__}() takes {len(fields)} arguments")
+        for name, value in zip(fields, args):
+            assign(self, name, value)
+        for name in fields[len(args):]:
+            if name not in kwargs and name not in self._defaults:
+                raise TypeError(f"{type(self).__name__}() missing argument {name!r}")
+            assign(self, name, kwargs.pop(name) if name in kwargs else self._defaults[name])
+        if kwargs:
+            raise TypeError(f"{type(self).__name__}() got unexpected {sorted(kwargs)}")
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}: AST nodes are immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}: AST nodes are immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self._fields, self._values(self))
+        )
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return (self.__class__, self._values(self))
+
+    def field_values(self) -> tuple:
+        """The node's field values, in field order."""
+        return self._values(self)
+
+    def replace(self, **changes) -> "Node":
+        """A copy with some fields changed (``dataclasses.replace`` for nodes)."""
+        values = dict(zip(self._fields, self._values(self)))
+        unknown = set(changes) - values.keys()
+        if unknown:
+            raise TypeError(f"{type(self).__name__} has no field(s) {sorted(unknown)}")
+        values.update(changes)
+        return self.__class__(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -73,12 +154,10 @@ class Node:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Literal(Node):
     value: Union[str, int, float]
 
 
-@dataclass(frozen=True)
 class DomainRef(Node):
     """A configuration notation, e.g. ``Fabric::$CloudName.TenantName``.
 
@@ -90,7 +169,6 @@ class DomainRef(Node):
     notation: str
 
 
-@dataclass(frozen=True)
 class ContextRef(Node):
     """``$_`` — the value flowing through the current pipeline step."""
 
@@ -103,7 +181,6 @@ Operand = Union[Literal, DomainRef, ContextRef]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class CompartmentDomain(Node):
     """Inline compartment: ``#[Datacenter] $Machinepool.FillFactor#``."""
 
@@ -111,7 +188,6 @@ class CompartmentDomain(Node):
     inner: "DomainExpr"
 
 
-@dataclass(frozen=True)
 class BinOpDomain(Node):
     """Arithmetic over the Cartesian product of two domains (§4.2.1)."""
 
@@ -120,7 +196,6 @@ class BinOpDomain(Node):
     right: "DomainExpr"
 
 
-@dataclass(frozen=True)
 class TransformDomain(Node):
     """Prefix transformation style: ``lower($OSPath)``."""
 
@@ -129,7 +204,6 @@ class TransformDomain(Node):
     inner: "DomainExpr"
 
 
-@dataclass(frozen=True)
 class UnionDomain(Node):
     """``$s.k1,$s.k2`` — several domains validated together.
 
@@ -151,24 +225,20 @@ DomainExpr = Union[
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class And(Node):
     left: "PredExpr"
     right: "PredExpr"
 
 
-@dataclass(frozen=True)
 class Or(Node):
     left: "PredExpr"
     right: "PredExpr"
 
 
-@dataclass(frozen=True)
 class Not(Node):
     operand: "PredExpr"
 
 
-@dataclass(frozen=True)
 class Quantified(Node):
     """``exists p`` / ``forall p`` / ``one p`` (∃ / ∀ / ∃!)."""
 
@@ -176,7 +246,6 @@ class Quantified(Node):
     operand: "PredExpr"
 
 
-@dataclass(frozen=True)
 class IfPred(Node):
     """``if (r) s [else t]`` — (r → s) ∧ (¬r → t)."""
 
@@ -185,7 +254,6 @@ class IfPred(Node):
     otherwise: Optional["PredExpr"] = None
 
 
-@dataclass(frozen=True)
 class PrimitiveCall(Node):
     """A named predicate primitive, with optional arguments.
 
@@ -197,7 +265,6 @@ class PrimitiveCall(Node):
     args: tuple[Operand, ...] = ()
 
 
-@dataclass(frozen=True)
 class RangePred(Node):
     """``[low, high]`` — inclusive range with literal or domain bounds."""
 
@@ -205,14 +272,12 @@ class RangePred(Node):
     high: Operand
 
 
-@dataclass(frozen=True)
 class SetPred(Node):
     """``{a, b, $Domain}`` — membership in literals and/or domain values."""
 
     members: tuple[Operand, ...]
 
 
-@dataclass(frozen=True)
 class RelPred(Node):
     """``== x`` / ``<= $Other`` applied to the value under test."""
 
@@ -220,7 +285,6 @@ class RelPred(Node):
     operand: Operand
 
 
-@dataclass(frozen=True)
 class MacroRef(Node):
     """``@UniqueCIDR`` — reference to a ``let`` macro."""
 
@@ -238,20 +302,17 @@ PredExpr = Union[
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class TransformStep(Node):
     name: str
     args: tuple[Operand, ...] = ()
 
 
-@dataclass(frozen=True)
 class TupleStep(Node):
     """``[at(0), at(1)]`` — build a list by applying each transform to $_."""
 
     parts: tuple[TransformStep, ...]
 
 
-@dataclass(frozen=True)
 class ForeachStep(Node):
     """``foreach($MachinePool::$_.LoadBalancer.VipRanges)`` — re-query a
     domain per current value, substituting ``$_``."""
@@ -259,7 +320,6 @@ class ForeachStep(Node):
     domain: DomainRef
 
 
-@dataclass(frozen=True)
 class CondStep(Node):
     """``if (nonempty) split('-')`` — predicated transformation."""
 
@@ -268,7 +328,6 @@ class CondStep(Node):
     otherwise: Optional["Step"] = None
 
 
-@dataclass(frozen=True)
 class PredicateStep(Node):
     """The terminal step: the constraint itself."""
 
@@ -283,7 +342,6 @@ Step = Union[TransformStep, TupleStep, ForeachStep, CondStep, PredicateStep]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SpecStatement(Node):
     """``domain -> step -> … -> predicate`` — one validation specification.
 
@@ -301,7 +359,6 @@ class SpecStatement(Node):
     custom_message: str = ""
 
 
-@dataclass(frozen=True)
 class ConditionSpec(Node):
     """A specification used as a boolean (inside ``if (...)``).
 
@@ -312,7 +369,6 @@ class ConditionSpec(Node):
     spec: SpecStatement
 
 
-@dataclass(frozen=True)
 class LoadCmd(Node):
     alias: str
     location: str
@@ -320,26 +376,22 @@ class LoadCmd(Node):
     line: int = 0
 
 
-@dataclass(frozen=True)
 class IncludeCmd(Node):
     path: str
     line: int = 0
 
 
-@dataclass(frozen=True)
 class LetCmd(Node):
     name: str
     predicate: PredExpr
     line: int = 0
 
 
-@dataclass(frozen=True)
 class GetCmd(Node):
     domain: DomainExpr
     line: int = 0
 
 
-@dataclass(frozen=True)
 class NamespaceBlock(Node):
     """``namespace r.s { … }`` — notation-prefix resolution (§4.2.2)."""
 
@@ -348,7 +400,6 @@ class NamespaceBlock(Node):
     line: int = 0
 
 
-@dataclass(frozen=True)
 class CompartmentBlock(Node):
     """``compartment Cluster { … }`` — per-instance isolated evaluation."""
 
@@ -357,7 +408,6 @@ class CompartmentBlock(Node):
     line: int = 0
 
 
-@dataclass(frozen=True)
 class IfStatement(Node):
     """Statement-level conditional validation (paper Listing 5)."""
 
@@ -379,6 +429,24 @@ Statement = Union[
 ]
 
 
-@dataclass(frozen=True)
 class Program(Node):
     statements: tuple[Statement, ...]
+
+
+def walk(node) -> Iterator[Node]:
+    """Every node of a subtree, depth-first (lists and tuples are flattened)."""
+    stack = [node]
+    while stack:
+        current = stack.pop()
+        if isinstance(current, (list, tuple)):
+            stack.extend(current)
+        elif isinstance(current, Node):
+            yield current
+            stack.extend(current._values(current))
+
+
+def notations(node) -> Iterator[str]:
+    """Every configuration notation text inside a subtree."""
+    for current in walk(node):
+        if isinstance(current, DomainRef):
+            yield current.notation

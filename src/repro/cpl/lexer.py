@@ -1,4 +1,4 @@
-"""Hand-written lexer for CPL (replacing the paper's ANTLR front end).
+"""CPL lexer (replacing the paper's ANTLR front end).
 
 Statement termination is newline-based (paper Listing 5 has no statement
 separators).  Specifications may span lines, so a newline is suppressed when
@@ -11,23 +11,73 @@ Domain notations (``$Fabric::$CloudName.TenantName``) are lexed as single
 :mod:`repro.repository.keys`, including nested ``$`` variables and quoted
 qualifiers.  The context variable ``$_`` lexes as a DOMAIN token with value
 ``"_"``.
+
+The scanner is one master regular expression: every alternative is a named
+group, tried in order at each position, and the last one (``ERR``) matches
+any single character, so ``finditer`` walks the text without gaps.  Inputs
+that cannot start any token (an unterminated string or comment, a bare
+``$``, ``!`` without ``=``/``!``) have their own groups and raise
+:class:`CPLSyntaxError` at the line and column the grammar fails at.
 """
 
 from __future__ import annotations
+
+import re
 
 from ..errors import CPLSyntaxError
 from .tokens import KEYWORDS, QUANT_WORDS, Token, TokenType
 
 __all__ = ["tokenize"]
 
-_NAME_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_*-")
+# a name: letters, digits, _ * and -, except a '-' that starts an arrow
+_NAME = r"(?:[A-Za-z0-9_*]|-(?!>))+"
+_NAME_CHARS = frozenset(
+    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_*-"
+)
+# a quoted string: \' and \\ are escapes, any other backslash is literal
+_QUOTED = r"'((?:[^'\\]|\\['\\]|\\(?!['\\]))*)'"
+_ESCAPE = re.compile(r"\\(['\\])")
+_QUOTED_QUALIFIER = re.compile(_QUOTED)
+
+_MASTER = re.compile(
+    "|".join(
+        (
+            r"(?P<NL>\n)",
+            r"(?P<WS>[ \t\r]+)",
+            r"(?P<LC>//[^\n]*)",
+            r"(?P<BC>/\*(?s:.*?)\*/)",
+            r"(?P<UBC>/\*)",
+            r"(?P<STR>" + _QUOTED.replace("(", "(?:", 1) + ")",
+            r"(?P<USTR>')",
+            r"(?P<NUM>\d+(?:\.\d+)?|\.\d+)",
+            # $_ alone, or a name followed by ::qualifier, [index] and
+            # .name parts (only an index binds: "[$x" or "[3" then "]")
+            r"(?P<DOM>\$(?:_(?![A-Za-z0-9_*-])|" + _NAME + r"(?:::(?:"
+            + _QUOTED.replace("(", "(?:", 1) + r"|\$?" + _NAME
+            + r")|\[(?:\$[A-Za-z0-9_*-]*|\d+)\]|\.\$?" + _NAME + r")*))",
+            r"(?P<UDOM>\$)",
+            r"(?P<ARROW>->|→)",
+            r"(?P<ONE>∃!)",
+            r"(?P<EXISTS>∃)",
+            r"(?P<FORALL>∀)",
+            r"(?P<ASSIGN>:=)",
+            r"(?P<COLONCOLON>::)",
+            r"(?P<BANGBANG>!!)",
+            r"(?P<RELOP>[=!<>]=|[=<>≤≥])",
+            r"(?P<BANG>!)",
+            r"(?P<OPEN>[(\[])",
+            r"(?P<CLOSE>[)\]])",
+            r"(?P<RBRACE>\})",
+            r"(?P<SIMPLE>[{,.@#+/&|~])",
+            r"(?P<MINUS>-)",
+            r"(?P<WORD>[A-Za-z_*]" + r"(?:[A-Za-z0-9_*]|-(?!>))*)",
+            r"(?P<ERR>.)",
+        )
+    )
+)
+
 _SIMPLE = {
-    "(": TokenType.LPAREN,
-    ")": TokenType.RPAREN,
     "{": TokenType.LBRACE,
-    "}": TokenType.RBRACE,
-    "[": TokenType.LBRACKET,
-    "]": TokenType.RBRACKET,
     ",": TokenType.COMMA,
     ".": TokenType.DOT,
     "@": TokenType.AT,
@@ -37,6 +87,17 @@ _SIMPLE = {
     "&": TokenType.AND,
     "|": TokenType.OR,
     "~": TokenType.NOT,
+}
+_RELOPS = {"=": "==", "≤": "<=", "≥": ">="}
+_FIXED = {
+    "ARROW": (TokenType.ARROW, "->"),
+    "ONE": (TokenType.QUANT_ONE, "one"),
+    "EXISTS": (TokenType.QUANT_EXISTS, "exists"),
+    "FORALL": (TokenType.QUANT_FORALL, "forall"),
+    "ASSIGN": (TokenType.ASSIGN, ":="),
+    "COLONCOLON": (TokenType.COLONCOLON, "::"),
+    "BANGBANG": (TokenType.BANGBANG, "!!"),
+    "MINUS": (TokenType.MINUS, "-"),
 }
 
 #: token types after which a newline never terminates a statement
@@ -69,312 +130,169 @@ _LEADING_CONTINUATION = {
 }
 
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-        self.depth = 0  # ( [ nesting; newlines are invisible inside
-        self.tokens: list[Token] = []
+def _unescape(body: str) -> str:
+    return _ESCAPE.sub(r"\1", body) if "\\" in body else body
 
-    # -- low-level helpers ------------------------------------------------
 
-    def error(self, message: str) -> CPLSyntaxError:
-        return CPLSyntaxError(message, self.line, self.column)
+def _quote_qualifier(match: "re.Match[str]") -> str:
+    return "'" + _unescape(match.group(1)).replace("'", "\\'") + "'"
 
-    def peek(self, ahead: int = 0) -> str:
-        index = self.pos + ahead
-        return self.text[index] if index < len(self.text) else ""
 
-    def advance(self, count: int = 1) -> str:
-        chunk = self.text[self.pos:self.pos + count]
-        for ch in chunk:
-            if ch == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-        self.pos += count
-        return chunk
+def _domain_error(text: str, end: int) -> tuple[str, int] | None:
+    """Why and where a notation that stops at ``end`` is malformed, if it is.
 
-    def emit(self, type_: str, value, line: int | None = None, column: int | None = None):
-        self.tokens.append(
-            Token(type_, value, line or self.line, column or self.column)
-        )
-
-    # -- main loop ---------------------------------------------------------
-
-    def run(self) -> list[Token]:
-        while self.pos < len(self.text):
-            ch = self.peek()
-            if ch == "\n":
-                self.advance()
-                if self.depth == 0:
-                    self.emit(TokenType.NEWLINE, "\n")
-                continue
-            if ch in " \t\r":
-                self.advance()
-                continue
-            if ch == "/" and self.peek(1) == "/":
-                while self.pos < len(self.text) and self.peek() != "\n":
-                    self.advance()
-                continue
-            if ch == "/" and self.peek(1) == "*":
-                self.advance(2)
-                while self.pos < len(self.text) and not (
-                    self.peek() == "*" and self.peek(1) == "/"
-                ):
-                    self.advance()
-                if self.pos >= len(self.text):
-                    raise self.error("unterminated block comment")
-                self.advance(2)
-                continue
-            line, column = self.line, self.column
-            if ch == "'":
-                self.emit(TokenType.STRING, self.read_string(), line, column)
-                continue
-            if ch.isdigit() or (ch == "." and self.peek(1).isdigit()):
-                self.emit(TokenType.NUMBER, self.read_number(), line, column)
-                continue
-            if ch == "$":
-                self.emit(TokenType.DOMAIN, self.read_domain(), line, column)
-                continue
-            if ch == "-" and self.peek(1) == ">":
-                self.advance(2)
-                self.emit(TokenType.ARROW, "->", line, column)
-                continue
-            if ch == "→":  # →
-                self.advance()
-                self.emit(TokenType.ARROW, "->", line, column)
-                continue
-            if ch == "∃":  # ∃ / ∃!
-                self.advance()
-                if self.peek() == "!":
-                    self.advance()
-                    self.emit(TokenType.QUANT_ONE, "one", line, column)
-                else:
-                    self.emit(TokenType.QUANT_EXISTS, "exists", line, column)
-                continue
-            if ch == "∀":  # ∀
-                self.advance()
-                self.emit(TokenType.QUANT_FORALL, "forall", line, column)
-                continue
-            if ch == ":" and self.peek(1) == "=":
-                self.advance(2)
-                self.emit(TokenType.ASSIGN, ":=", line, column)
-                continue
-            if ch == ":" and self.peek(1) == ":":
-                self.advance(2)
-                self.emit(TokenType.COLONCOLON, "::", line, column)
-                continue
-            if ch in "=!<>":
-                op = self.read_relop()
-                if op == "!!":
-                    self.emit(TokenType.BANGBANG, op, line, column)
-                else:
-                    self.emit(TokenType.RELOP, op, line, column)
-                continue
-            if ch == "≤":  # ≤
-                self.advance()
-                self.emit(TokenType.RELOP, "<=", line, column)
-                continue
-            if ch == "≥":  # ≥
-                self.advance()
-                self.emit(TokenType.RELOP, ">=", line, column)
-                continue
-            if ch in _SIMPLE:
-                self.advance()
-                type_ = _SIMPLE[ch]
-                # Braces hold *statements* (namespace/compartment blocks), so
-                # newlines inside them still terminate; only parens/brackets
-                # make newlines invisible.
-                if type_ in (TokenType.LPAREN, TokenType.LBRACKET):
-                    self.depth += 1
-                elif type_ in (TokenType.RPAREN, TokenType.RBRACKET):
-                    self.depth = max(0, self.depth - 1)
-                elif type_ == TokenType.RBRACE and self.depth == 0:
-                    # `}` closing a block statement (never inside parens or
-                    # brackets, where it closes a set literal): follow it
-                    # with a virtual newline so `else` lookahead stays simple.
-                    self.emit(type_, ch, line, column)
-                    self.emit(TokenType.NEWLINE, "\n", line, column)
-                    continue
-                self.emit(type_, ch, line, column)
-                continue
-            if ch == "-":
-                # unary minus on numbers is handled by the parser; standalone
-                # minus is the arithmetic domain operator
-                self.advance()
-                self.emit(TokenType.MINUS, "-", line, column)
-                continue
-            if ch in _NAME_CHARS:
-                word = self.read_word()
-                if word in QUANT_WORDS:
-                    self.emit(QUANT_WORDS[word], word, line, column)
-                elif word in KEYWORDS:
-                    self.emit(TokenType.KEYWORD, word, line, column)
-                else:
-                    self.emit(TokenType.IDENT, word, line, column)
-                continue
-            raise self.error(f"unexpected character {ch!r}")
-        self.emit(TokenType.EOF, "")
-        return self._fold_newlines(self.tokens)
-
-    # -- scanners ------------------------------------------------------------
-
-    def read_string(self) -> str:
-        self.advance()  # opening quote
-        out = []
-        while True:
-            if self.pos >= len(self.text):
-                raise self.error("unterminated string literal")
-            ch = self.advance()
-            if ch == "\\" and self.peek() in ("'", "\\"):
-                out.append(self.advance())
-            elif ch == "'":
-                break
-            else:
-                out.append(ch)
-        return "".join(out)
-
-    def read_number(self):
-        start = self.pos
-        while self.peek().isdigit():
-            self.advance()
-        if self.peek() == "." and self.peek(1).isdigit():
-            self.advance()
-            while self.peek().isdigit():
-                self.advance()
-            return float(self.text[start:self.pos])
-        return int(self.text[start:self.pos])
-
-    def read_relop(self) -> str:
-        ch = self.advance()
-        if ch == "=" and self.peek() == "=":
-            self.advance()
-            return "=="
-        if ch == "=":
-            return "=="  # tolerate single '=' as equality
-        if ch == "!":
-            if self.peek() == "!":
-                self.advance()
-                return "!!"
-            if self.peek() != "=":
-                raise self.error("expected '=' or '!' after '!'")
-            self.advance()
-            return "!="
-        if ch in "<>" and self.peek() == "=":
-            self.advance()
-            return ch + "="
-        return ch
-
-    def read_word(self) -> str:
-        start = self.pos
-        while self.peek() in _NAME_CHARS:
-            if self.peek() == "-" and self.peek(1) == ">":
-                break  # '-' belongs to an arrow, not the name
-            self.advance()
-        return self.text[start:self.pos]
-
-    def read_domain(self) -> str:
-        """Scan a full qualified notation after ``$`` (value excludes the $)."""
-        self.advance()  # $
-        if self.peek() == "_" and self.peek(1) not in _NAME_CHARS:
-            self.advance()
-            return "_"
-        start = self.pos
-        out = []
-
-        def read_name(allow_dollar: bool) -> None:
-            if allow_dollar and self.peek() == "$":
-                out.append(self.advance())
-            got = False
-            while self.peek() in _NAME_CHARS:
-                if self.peek() == "-" and self.peek(1) == ">":
-                    break  # '-' belongs to an arrow, not the name
-                out.append(self.advance())
-                got = True
-            if not got:
-                raise self.error("expected a name in configuration notation")
-
-        read_name(allow_dollar=False)
-        while True:
-            if self.peek() == ":" and self.peek(1) == ":":
-                out.append(self.advance(2))
-                if self.peek() == "'":
-                    quoted = self.read_string()
-                    out.append("'" + quoted.replace("'", "\\'") + "'")
-                else:
-                    read_name(allow_dollar=True)
-                continue
-            if self.peek() == "[":
-                # Only an index ([3] or [$var]) binds to the domain; anything
-                # else (e.g. range predicate "[...") belongs to the parser.
-                ahead = 1
-                if self.peek(ahead) == "$":
-                    ahead += 1
-                    while self.peek(ahead) in _NAME_CHARS:
-                        ahead += 1
-                elif self.peek(ahead).isdigit():
-                    while self.peek(ahead).isdigit():
-                        ahead += 1
-                else:
-                    break
-                if self.peek(ahead) != "]":
-                    break
-                out.append(self.advance(ahead + 1))
-                continue
-            if self.peek() == "." and (
-                self.peek(1) in _NAME_CHARS or self.peek(1) == "$"
-            ):
-                out.append(self.advance())
-                read_name(allow_dollar=True)
-                continue
-            break
-        if not out:
-            raise self.error("empty configuration notation after '$'")
-        return "".join(out)
-
-    # -- newline folding -------------------------------------------------------
-
-    @staticmethod
-    def _fold_newlines(tokens: list[Token]) -> list[Token]:
-        """Drop newlines that sit inside an obviously-continuing statement."""
-        out: list[Token] = []
-        index = 0
-        while index < len(tokens):
-            token = tokens[index]
-            if token.type != TokenType.NEWLINE:
-                out.append(token)
-                index += 1
-                continue
-            # collapse a run of newlines
-            next_index = index
-            while (
-                next_index < len(tokens)
-                and tokens[next_index].type == TokenType.NEWLINE
-            ):
-                next_index += 1
-            previous = out[-1] if out else None
-            following = tokens[next_index] if next_index < len(tokens) else None
-            drop = False
-            if previous is None or previous.type == TokenType.NEWLINE:
-                drop = True
-            elif previous.type in _TRAILING_CONTINUATION:
-                drop = True
-            elif following is not None and following.type in _LEADING_CONTINUATION:
-                drop = True
-            elif following is not None and (
-                following.type == TokenType.KEYWORD and following.value == "else"
-            ):
-                drop = True
-            if not drop:
-                out.append(token)
-            index = next_index
-        return out
+    ``::`` and ``.name`` commit a notation to another part, so a notation
+    followed by one the master pattern could not match is an error (the
+    offset is where the scanner gives up; -1 means the end of the text).
+    """
+    if text.startswith("::", end):
+        after = end + 2
+        if text.startswith("'", after):
+            return "unterminated string literal", -1
+        if text.startswith("$", after):
+            after += 1
+        return "expected a name in configuration notation", after
+    after = end + 1
+    if text.startswith(".", end) and after < len(text) and (
+        text[after] in _NAME_CHARS or text[after] == "$"
+    ):
+        if text[after] == "$":
+            after += 1
+        return "expected a name in configuration notation", after
+    return None
 
 
 def tokenize(text: str) -> list[Token]:
     """Tokenize CPL source text; raises :class:`CPLSyntaxError` on bad input."""
-    return _Lexer(text).run()
+    tokens: list[Token] = []
+    emit = tokens.append
+    line, line_start = 1, 0  # line_start: offset of the current line's start
+    depth = 0  # ( [ nesting; newlines are invisible inside
+
+    def fail(message: str, offset: int) -> CPLSyntaxError:
+        if offset < 0:
+            offset = len(text)
+        lines = text.count("\n", line_start, offset)
+        start = text.rfind("\n", 0, offset) + 1 if lines else line_start
+        return CPLSyntaxError(message, line + lines, offset - start + 1)
+
+    for match in _MASTER.finditer(text):
+        kind = match.lastgroup
+        start = match.start()
+        if kind == "WS" or kind == "LC":
+            continue
+        column = start - line_start + 1
+        if kind == "DOM":
+            end = match.end()
+            value = text[start + 1:end]
+            if "'" in value:
+                value = _QUOTED_QUALIFIER.sub(_quote_qualifier, value)
+            emit(Token(TokenType.DOMAIN, value, line, column))
+            if "'" in value and "\n" in value:
+                line += text.count("\n", start, end)
+                line_start = text.rfind("\n", start, end) + 1
+            # `$_` is complete as it stands: it takes no `::` or `.` parts
+            error = _domain_error(text, end) if value != "_" else None
+            if error is not None:
+                raise fail(*error)
+        elif kind == "WORD":
+            word = match.group()
+            if word in QUANT_WORDS:
+                emit(Token(QUANT_WORDS[word], word, line, column))
+            elif word in KEYWORDS:
+                emit(Token(TokenType.KEYWORD, word, line, column))
+            else:
+                emit(Token(TokenType.IDENT, word, line, column))
+        elif kind == "NL":
+            line += 1
+            line_start = start + 1
+            if depth == 0:
+                emit(Token(TokenType.NEWLINE, "\n", line, 1))
+        elif kind == "SIMPLE":
+            emit(Token(_SIMPLE[match.group()], match.group(), line, column))
+        elif kind == "OPEN":
+            depth += 1
+            char = match.group()
+            emit(Token(
+                TokenType.LPAREN if char == "(" else TokenType.LBRACKET,
+                char, line, column,
+            ))
+        elif kind == "CLOSE":
+            depth = max(0, depth - 1)
+            char = match.group()
+            emit(Token(
+                TokenType.RPAREN if char == ")" else TokenType.RBRACKET,
+                char, line, column,
+            ))
+        elif kind == "RBRACE":
+            emit(Token(TokenType.RBRACE, "}", line, column))
+            if depth == 0:
+                # `}` closing a block statement (never inside parens or
+                # brackets, where it closes a set literal): follow it with
+                # a virtual newline so `else` lookahead stays simple.
+                emit(Token(TokenType.NEWLINE, "\n", line, column))
+        elif kind == "STR":
+            value = match.group()
+            emit(Token(TokenType.STRING, _unescape(value[1:-1]), line, column))
+            if "\n" in value:
+                end = match.end()
+                line += text.count("\n", start, end)
+                line_start = text.rfind("\n", start, end) + 1
+        elif kind == "NUM":
+            number = match.group()
+            emit(Token(
+                TokenType.NUMBER,
+                float(number) if "." in number else int(number),
+                line, column,
+            ))
+        elif kind == "RELOP":
+            op = match.group()
+            emit(Token(TokenType.RELOP, _RELOPS.get(op, op), line, column))
+        elif kind in _FIXED:
+            type_, value = _FIXED[kind]
+            emit(Token(type_, value, line, column))
+        elif kind == "BC":
+            end = match.end()
+            if "\n" in match.group():
+                line += text.count("\n", start, end)
+                line_start = text.rfind("\n", start, end) + 1
+        elif kind == "UBC":
+            raise fail("unterminated block comment", -1)
+        elif kind == "USTR":
+            raise fail("unterminated string literal", -1)
+        elif kind == "UDOM":
+            raise fail("expected a name in configuration notation", start + 1)
+        elif kind == "BANG":
+            raise fail("expected '=' or '!' after '!'", start + 1)
+        else:
+            raise fail(f"unexpected character {match.group()!r}", start)
+    emit(Token(TokenType.EOF, "", line, len(text) - line_start + 1))
+    return _fold_newlines(tokens)
+
+
+def _fold_newlines(tokens: list[Token]) -> list[Token]:
+    """Drop newlines that sit inside an obviously-continuing statement; a
+    run of newlines folds into its first."""
+    out: list[Token] = []
+    index = 0
+    while index < len(tokens):
+        token = tokens[index]
+        index += 1
+        if token.type != TokenType.NEWLINE:
+            out.append(token)
+            continue
+        while index < len(tokens) and tokens[index].type == TokenType.NEWLINE:
+            index += 1
+        following = tokens[index] if index < len(tokens) else None
+        continues = (
+            not out
+            or out[-1].type == TokenType.NEWLINE
+            or out[-1].type in _TRAILING_CONTINUATION
+            or following is not None and (
+                following.type in _LEADING_CONTINUATION
+                or following.type == TokenType.KEYWORD and following.value == "else"
+            )
+        )
+        if not continues:
+            out.append(token)
+    return out

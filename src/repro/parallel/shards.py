@@ -81,12 +81,8 @@ def _first_notation(node) -> Optional[str]:
         if isinstance(current, (list, tuple)):
             stack.extend(reversed(current))
             continue
-        if hasattr(current, "__dataclass_fields__"):
-            stack.extend(
-                reversed(
-                    [getattr(current, name) for name in current.__dataclass_fields__]
-                )
-            )
+        if isinstance(current, ast.Node):
+            stack.extend(reversed(current.field_values()))
     return None
 
 

@@ -15,7 +15,10 @@ from typing import Any, Callable
 
 from .. import typesys
 
-__all__ = ["coerce_scalar", "coerce_pair", "compare", "RELATION_OPS", "values_equal"]
+__all__ = [
+    "coerce_scalar", "coerce_pair", "compare", "compare_coerced", "RELATION_OPS",
+    "values_equal",
+]
 
 RELATION_OPS: dict[str, Callable[[Any, Any], bool]] = {
     "==": operator.eq,
@@ -49,7 +52,10 @@ def coerce_scalar(value: str) -> Any:
 
 def coerce_pair(left: str, right: str) -> tuple[Any, Any]:
     """Promote both sides to a directly comparable pair."""
-    a, b = coerce_scalar(left), coerce_scalar(right)
+    return _promote(left, coerce_scalar(left), right, coerce_scalar(right))
+
+
+def _promote(left: str, a: Any, right: str, b: Any) -> tuple[Any, Any]:
     if isinstance(a, (int, float)) and isinstance(b, (int, float)):
         return a, b
     if type(a) is type(b):
@@ -60,8 +66,15 @@ def coerce_pair(left: str, right: str) -> tuple[Any, Any]:
 
 def compare(left: str, op: str, right: str) -> bool:
     """Evaluate ``left <op> right`` with type-aware coercion."""
-    fn = RELATION_OPS[op]
-    a, b = coerce_pair(left, right)
+    return compare_coerced(
+        RELATION_OPS[op], left, coerce_scalar(left), right, coerce_scalar(right)
+    )
+
+
+def compare_coerced(fn: Callable, left: str, a: Any, right: str, b: Any) -> bool:
+    """:func:`compare` with the operator's function, for raw values already
+    coerced to ``a`` and ``b`` (so a caller coerces each value once)."""
+    a, b = _promote(left, a, right, b)
     try:
         return bool(fn(a, b))
     except TypeError:

@@ -116,6 +116,8 @@ def parse_duration(value: str) -> Optional[float]:
 
 
 def parse_ipv4(value: str) -> Optional[ipaddress.IPv4Address]:
+    if "." not in value:
+        return None  # cheap reject: the address needs its dots
     try:
         return ipaddress.IPv4Address(value.strip())
     except (ipaddress.AddressValueError, ValueError):
@@ -123,6 +125,8 @@ def parse_ipv4(value: str) -> Optional[ipaddress.IPv4Address]:
 
 
 def parse_ipv6(value: str) -> Optional[ipaddress.IPv6Address]:
+    if ":" not in value:
+        return None  # cheap reject: the address needs its colons
     try:
         return ipaddress.IPv6Address(value.strip())
     except (ipaddress.AddressValueError, ValueError):

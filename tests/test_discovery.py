@@ -283,3 +283,85 @@ def test_property_store_order_exact(loads, patterns):
     for __, members in conflicts:
         positions = [loaded.index(member) for member in members]
         assert positions == sorted(positions)
+
+
+# ---------------------------------------------------------------------------
+# Property: compartment scope discovery from the store's distinct prefixes
+# ---------------------------------------------------------------------------
+
+
+def _scope_walk(store, name, ctx):
+    """The walk ``Evaluator.scope_instances`` used before its prefix list:
+    every segment window of every instance, in load order."""
+    pattern = parse_pattern(name).substitute(ctx.env)
+    width = len(pattern.segments)
+    found: dict = {}
+    for instance in store.instances():
+        segments = instance.key.segments
+        limit = len(segments) - 1  # the leaf is a parameter, not a scope
+        for start in range(0, limit - width + 1):
+            window = segments[start:start + width]
+            if all(p.matches(s) for p, s in zip(pattern.segments, window)):
+                prefix = segments[:start + width]
+                if ctx.compartment is not None:
+                    outer = ctx.compartment.segments
+                    if len(prefix) <= len(outer) or prefix[:len(outer)] != outer:
+                        continue
+                if prefix not in found:
+                    found[prefix] = InstanceKey(prefix)
+    return list(found.values())
+
+
+def _scope_outcome(lookup, *args):
+    try:
+        return lookup(*args)
+    except ConfValleyError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@st.composite
+def _compartment_name(draw):
+    parts = []
+    for __ in range(draw(st.integers(min_value=1, max_value=2))):
+        name = draw(st.sampled_from(["A", "B", "K", "*", "$n", "$unbound"]))
+        kind = draw(st.sampled_from(["any", "any", "named", "ordinal", "var-named"]))
+        if kind == "named":
+            parts.append(f"{name}::{draw(st.sampled_from(['x', 'y', '*']))}")
+        elif kind == "ordinal":
+            parts.append(f"{name}[{draw(st.integers(min_value=1, max_value=2))}]")
+        elif kind == "var-named":
+            parts.append(f"{name}::$q")
+        else:
+            parts.append(name)
+    return ".".join(parts)
+
+
+@given(
+    _random_loads(),
+    st.lists(_compartment_name(), min_size=1, max_size=4),
+    st.sampled_from(["A", "K"]),
+    st.sampled_from(["x", "y"]),
+    st.integers(min_value=0, max_value=5),
+)
+@settings(max_examples=100, derandomize=True)
+def test_property_scope_instances_match_window_walk(loads, names, n, q, pick):
+    from repro.core.evaluator import Context, Evaluator
+
+    instances, split = loads
+    store = ConfigStore()
+    store.add_all(instances[:split])
+    evaluator = Evaluator(store)
+    for phase in range(2):  # the second phase sees the rest of the load
+        outer_candidates = [None]
+        for name in names:
+            for outer in outer_candidates:
+                ctx = Context({"n": n, "q": q}, (), outer)
+                expected = _scope_outcome(_scope_walk, store, name, ctx)
+                # twice: the second answer comes from the evaluator's cache
+                for __ in range(2):
+                    assert _scope_outcome(evaluator.scope_instances, name, ctx) == expected
+                if isinstance(expected, list) and expected and len(outer_candidates) < 3:
+                    # nest the next lookups inside one of these scopes
+                    outer_candidates.append(expected[pick % len(expected)])
+        for instance in instances[split:]:
+            store.add(instance)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,27 +15,26 @@ def strip_meta(program: ast.Program) -> tuple:
 
     def clean(statement):
         if isinstance(statement, ast.SpecStatement):
-            return replace(statement, text="", line=0)
+            return statement.replace(text="", line=0)
         if isinstance(statement, ast.NamespaceBlock):
-            return replace(
-                statement, line=0, body=tuple(clean(s) for s in statement.body)
+            return statement.replace(
+                line=0, body=tuple(clean(s) for s in statement.body)
             )
         if isinstance(statement, ast.CompartmentBlock):
-            return replace(
-                statement, line=0, body=tuple(clean(s) for s in statement.body)
+            return statement.replace(
+                line=0, body=tuple(clean(s) for s in statement.body)
             )
         if isinstance(statement, ast.IfStatement):
-            return replace(
-                statement,
+            return statement.replace(
                 line=0,
                 condition=ast.ConditionSpec(
-                    replace(statement.condition.spec, text="", line=0)
+                    statement.condition.spec.replace(text="", line=0)
                 ),
                 then=tuple(clean(s) for s in statement.then),
                 otherwise=tuple(clean(s) for s in statement.otherwise),
             )
         if hasattr(statement, "line"):
-            return replace(statement, line=0)
+            return statement.replace(line=0)
         return statement
 
     return tuple(clean(s) for s in program.statements)
