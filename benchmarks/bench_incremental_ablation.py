@@ -24,16 +24,24 @@ import time
 import pytest
 
 from repro import (
-    ConfigRepository,
-    IncrementalValidator,
+    ConfigStore,
     InferenceEngine,
     SourceSpec,
+    SpecCache,
     ValidationService,
     ValidationSession,
+    check_change,
+    plan_delta,
 )
 from repro.benchutil import format_table
 from repro.repository.model import ConfigInstance
 from repro.synthetic import EXPERT_SPECS
+
+
+def store_of(instances):
+    store = ConfigStore()
+    store.add_all(instances)
+    return store
 
 
 @pytest.fixture(scope="module")
@@ -44,10 +52,8 @@ def corpus(type_a_store):
 
 @pytest.fixture(scope="module")
 def checkins(type_a_dataset):
-    """Ten single-parameter check-ins derived from the base snapshot."""
+    """The base snapshot and ten single-parameter check-ins derived from it."""
     base = type_a_dataset.parse()
-    repo = ConfigRepository()
-    repo.commit(base, "base")
     edits = []
     taken = set()
     for instance in base:
@@ -59,31 +65,34 @@ def checkins(type_a_dataset):
             edits.append(instance)
         if len(edits) == 10:
             break
-    snapshots = []
-    for edit in edits:
-        changed = [
+    candidates = [
+        [
             ConfigInstance(i.key, "7" if i.key == edit.key else i.value, i.source)
             for i in base
         ]
-        snapshots.append(repo.commit(changed, f"edit {edit.key.leaf_name}"))
-    return repo, snapshots
+        for edit in edits
+    ]
+    return base, candidates
 
 
 def test_incremental_ablation(benchmark, emit, corpus, checkins, type_a_store):
-    repo, snapshots = checkins
-    validator = IncrementalValidator(corpus)
-    base = repo.log()[0]
+    base, candidates = checkins
+    baseline = store_of(base)
+    stores = [store_of(candidate) for candidate in candidates]
+    # a gate compiles its corpus once; later check-ins hit the spec cache
+    cache = SpecCache()
+    statement_count = len(plan_delta(ValidationSession(spec_cache=cache), corpus).units)
 
     def run_incremental():
         total_selected = 0
         elapsed = 0.0
-        for snapshot in snapshots:
-            change = repo.diff(base, snapshot)
-            store = repo.store_for(snapshot)
+        for store in stores:
             started = time.perf_counter()
-            validator.validate_change(store, change)
+            report = check_change(
+                ValidationSession(store=store, spec_cache=cache), corpus, baseline
+            )
             elapsed += time.perf_counter() - started
-            total_selected += validator.last_selected
+            total_selected += report.delta_info["selected"]
         return total_selected, elapsed
 
     selected, incremental_seconds = benchmark.pedantic(
@@ -91,49 +100,47 @@ def test_incremental_ablation(benchmark, emit, corpus, checkins, type_a_store):
     )
 
     started = time.perf_counter()
-    for snapshot in snapshots:
-        store = repo.store_for(snapshot)
+    for store in stores:
         ValidationSession(store=store).validate(corpus)
     full_seconds = time.perf_counter() - started
 
-    per_checkin_selected = selected / len(snapshots)
+    per_checkin_selected = selected / len(stores)
     emit(
         "incremental_ablation",
         format_table(
             ["Strategy", "Specs/check-in", "Total time (s)"],
             [
-                ("full corpus", validator.statement_count, f"{full_seconds:.3f}"),
+                ("full corpus", statement_count, f"{full_seconds:.3f}"),
                 ("incremental", f"{per_checkin_selected:.1f}",
                  f"{incremental_seconds:.3f}"),
             ],
         )
         + f"\nspeedup: {full_seconds / max(incremental_seconds, 1e-9):.1f}x "
-        f"over {len(snapshots)} single-parameter check-ins",
+        f"over {len(stores)} single-parameter check-ins",
     )
     # small change → small spec selection
-    assert per_checkin_selected < validator.statement_count / 4
+    assert per_checkin_selected < statement_count / 4
     # and a real end-to-end win
     assert incremental_seconds * 2 < full_seconds
 
 
 def test_incremental_agrees_with_full_on_faulty_checkin(corpus, checkins, benchmark):
-    repo, __ = checkins
-    base = repo.log()[0]
+    base, __ = checkins
     broken = [
         ConfigInstance(
             i.key,
             "" if i.key.leaf_name == "FccDnsName" else i.value,
             i.source,
         )
-        for i in base.instances
+        for i in base
     ]
-    snapshot = repo.commit(broken, "break every FccDnsName")
-    change = repo.diff(base, snapshot)
-    store = repo.store_for(snapshot)
+    store = store_of(broken)
 
-    validator = IncrementalValidator(corpus)
     incremental = benchmark.pedantic(
-        validator.validate_change, args=(store, change), rounds=1, iterations=1
+        check_change,
+        args=(ValidationSession(store=store), corpus, store_of(base)),
+        rounds=1,
+        iterations=1,
     )
     full = ValidationSession(store=store).validate(corpus)
 

@@ -7,25 +7,36 @@ checking-in to the repository**, before deployment or at runtime."
 
 This example wires three pieces together:
 
-* :class:`repro.ConfigRepository` — branches of configuration snapshots,
-* :class:`repro.IncrementalValidator` — re-runs only the specifications a
-  change set touches (cheap enough to gate every check-in),
+* two :class:`repro.ConfigStore` instances — the validated trunk and the
+  candidate check-in,
+* :func:`repro.check_change` — diffs the candidate against trunk and
+  re-runs only the specifications the change can reach (cheap enough to
+  gate every check-in; ``confvalley gate`` and ``mode: delta`` jobs run
+  the same check),
 * the expert CPL corpus for the synthetic Azure fleet.
 
-Flow: trunk holds a validated snapshot; an operator prepares a candidate
-branch with a small change; the gate diffs candidate vs trunk, validates
-just the affected specs, and accepts or rejects the check-in.
+Flow: trunk holds a validated configuration; an operator prepares a
+candidate with a small change; the gate validates just the affected specs
+and accepts (trunk moves to the candidate) or rejects the check-in.
 
 Run:  python examples/precommit_gate.py
 """
 
-from repro import ConfigRepository, IncrementalValidator
+from repro import ConfigStore, SpecCache, ValidationSession, check_change
 from repro.repository.model import ConfigInstance
 from repro.synthetic import EXPERT_SPECS, generate_type_a
 
+SPECS = EXPERT_SPECS["type_a"]
+
+
+def store_of(instances):
+    store = ConfigStore()
+    store.add_all(instances)
+    return store
+
 
 def amend(instances, key_suffix, new_value):
-    """Return a copy of the snapshot with one parameter actually changed."""
+    """Return a copy of the configuration with one parameter changed."""
     out = []
     changed = None
     for instance in instances:
@@ -42,15 +53,15 @@ def amend(instances, key_suffix, new_value):
     return out, changed
 
 
-def gate(repo, validator, branch):
-    change = repo.diff_heads("trunk", branch)
-    print(f"  change set: {change.summary()}")
-    report = validator.validate_change(repo.store_for(repo.head(branch)), change)
-    print(f"  specs run: {validator.last_selected} of "
-          f"{validator.statement_count} (skipped {validator.last_skipped})")
+def gate(trunk, candidate, cache):
+    session = ValidationSession(store=candidate, spec_cache=cache)
+    report = check_change(session, SPECS, trunk)
+    info = report.delta_info
+    print(f"  change set: {info['change']}")
+    print(f"  specs run: {info['selected']} of {info['statements_total']} "
+          f"(skipped {info['skipped']})")
     if report.passed:
         print("  ✔ ACCEPTED — merging to trunk")
-        repo.commit(repo.head(branch).instances, f"merge {branch}", branch="trunk")
         return True
     print(f"  ✘ REJECTED — {len(report.violations)} violation(s):")
     for violation in report.violations[:3]:
@@ -59,33 +70,30 @@ def gate(repo, validator, branch):
 
 
 def main() -> int:
-    print("seeding trunk with a validated fleet snapshot …")
+    print("seeding trunk with a validated fleet configuration …")
     base = generate_type_a(scale=0.15, seed=5).parse()
-    repo = ConfigRepository()
-    repo.commit(base, "initial validated snapshot")
-    validator = IncrementalValidator(EXPERT_SPECS["type_a"])
-    assert validator.validate_full(repo.store_for(repo.head())).passed
-    print(f"  trunk@1: {len(base)} instances; full corpus passes\n")
+    trunk = store_of(base)
+    cache = SpecCache()  # the corpus compiles once for every check-in
+    assert ValidationSession(store=trunk, spec_cache=cache).validate(SPECS).passed
+    print(f"  trunk: {len(base)} instances; full corpus passes\n")
+    history = ["initial validated configuration"]
 
     # --- check-in 1: a legitimate replica bump ---------------------------
     print("check-in 1: bump a cluster's replica count 3 → 5")
     good, changed = amend(base, "ReplicaCountForCreateFCC", "5")
-    repo.create_branch("cl-replicas")
-    repo.commit(good, "bump replicas", branch="cl-replicas")
-    accepted = gate(repo, validator, "cl-replicas")
-    if not accepted:
+    candidate = store_of(good)
+    if not gate(trunk, candidate, cache):
         return 1
+    trunk = candidate
+    history.append("bump replicas")
 
     # --- check-in 2: a fat-fingered replica count -------------------------
     print("\ncheck-in 2: fat-fingered replica count 3 → 1")
-    bad, changed = amend(base, "ReplicaCountForCreateFCC", "1")
-    repo.create_branch("cl-oops")
-    repo.commit(bad, "oops", branch="cl-oops")
-    accepted = gate(repo, validator, "cl-oops")
-    if accepted:
+    bad, changed = amend(good, "ReplicaCountForCreateFCC", "1")
+    if gate(trunk, store_of(bad), cache):
         return 1
 
-    print(f"\ntrunk history: {[s.message for s in repo.log('trunk')]}")
+    print(f"\ntrunk history: {history}")
     return 0
 
 

@@ -39,7 +39,7 @@ __version__ = "1.0.0"
 __all__, __getattr__, __dir__ = _exports.exports(__name__, {
     ".": ("observability",),
     ".core.evaluator": ("Evaluator",),
-    ".core.incremental": ("DependencyIndex", "IncrementalValidator"),
+    ".core.incremental": ("DependencyIndex", "check_change", "plan_delta"),
     ".core.policy": ("ValidationPolicy",),
     ".core.report": ("HealthBlock", "Severity", "ValidationReport", "Violation"),
     ".core.session": ("ValidationSession",),
@@ -49,7 +49,7 @@ __all__, __getattr__, __dir__ = _exports.exports(__name__, {
     ".inference.engine": ("InferenceEngine",),
     ".repository.keys": ("InstanceKey", "KeyPattern", "parse_pattern"),
     ".repository.store": ("ConfigStore",),
-    ".repository.versioned": ("ChangeSet", "ConfigRepository", "Snapshot"),
+    ".repository.versioned": ("ChangeSet", "diff_stores"),
     ".parallel.cache": ("SpecCache",),
     ".parallel.engine": ("ParallelValidator",),
     ".resilience.breaker": ("SpecCircuitBreaker",),

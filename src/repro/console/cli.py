@@ -890,23 +890,16 @@ def _run_gate(args) -> int:
     """The pre-check-in gate; exit 0 admit / 1 reject / 2 error.
 
     With ``--json`` the verdict is the same machine-readable schema job
-    results carry (:func:`repro.jobs.model.verdict_payload`), so CI
+    results carry (:func:`repro.core.verdict.verdict_payload`), so CI
     pipelines parse one format whether they gate synchronously or submit
     asynchronously.
     """
     import json as _json
 
-    from ..jobs.model import (
-        EXIT_ADMIT,
-        EXIT_ERROR,
-        EXIT_REJECT,
-        error_verdict,
-        verdict_payload,
-    )
+    from ..core.verdict import EXIT_ERROR, error_verdict
 
     try:
-        return _run_gate_checked(args, _json, verdict_payload,
-                                 EXIT_ADMIT, EXIT_REJECT)
+        return _run_gate_checked(args, _json)
     except SystemExit:
         raise
     except Exception as exc:
@@ -918,63 +911,56 @@ def _run_gate(args) -> int:
         return EXIT_ERROR
 
 
-def _run_gate_checked(args, _json, verdict_payload, exit_admit, exit_reject) -> int:
-    from ..core.incremental import IncrementalValidator
+def _run_gate_checked(args, _json) -> int:
+    from ..core.incremental import check_change
+    from ..core.verdict import EXIT_ADMIT, EXIT_REJECT, verdict_payload
     from ..repository.versioned import diff_stores
 
-    quiet = args.json  # --json: nothing but the verdict object on stdout
-    old_session = ValidationSession()
-    if args.old:
-        _load_sources(old_session, args.old)
-    new_session = ValidationSession()
-    _load_sources(new_session, args.new)
-    change = diff_stores(old_session.store if args.old else None, new_session.store)
-    if not quiet:
-        print(f"change: {change.summary()}")
-    if change.is_empty and not args.full:
-        if quiet:
-            from ..core.report import ValidationReport
-
-            verdict = verdict_payload(ValidationReport())
-            verdict["change"] = change.summary()
-            verdict["statements_run"] = 0
-            print(_json.dumps(verdict, indent=2, sort_keys=True))
-        else:
-            print("nothing changed — ACCEPT")
-        return exit_admit
+    baseline = ValidationSession()
+    _load_sources(baseline, args.old)
+    session = ValidationSession()
+    _load_sources(session, args.new)
     with open(args.spec, "r", encoding="utf-8") as handle:
-        validator = IncrementalValidator(handle.read())
+        spec_text = handle.read()
     if args.full:
-        report = validator.validate_full(new_session.store)
-        selected = validator.statement_count
-        if not quiet:
-            print(f"full corpus: {validator.statement_count} statement(s)")
+        info = None
+        change = diff_stores(baseline.store, session.store).summary()
+        report = session.validate(spec_text)
     else:
-        report = validator.validate_change(new_session.store, change)
-        selected = validator.last_selected
-        if not quiet:
-            print(
-                f"incremental: {validator.last_selected} of "
-                f"{validator.statement_count} statement(s) run"
-            )
-    if quiet:
-        verdict = verdict_payload(report)
-        verdict["change"] = change.summary()
-        verdict["statements_run"] = selected
-        verdict["statements_total"] = validator.statement_count
+        # the same change check `mode: delta` jobs run
+        report = check_change(session, spec_text, baseline.store)
+        info = report.delta_info
+        change = info["change"]
+    if args.json:  # nothing but the verdict object on stdout
+        verdict = verdict_payload(report, delta=info)
+        verdict["change"] = change
+        if info is not None:
+            verdict["statements_run"] = info["selected"]
+            verdict["statements_total"] = info["statements_total"]
         print(_json.dumps(verdict, indent=2, sort_keys=True))
-        return exit_admit if report.passed else exit_reject
+        return EXIT_ADMIT if report.passed else EXIT_REJECT
+    print(f"change: {change}")
+    if info is None:
+        print("full corpus: every statement run")
+    elif info["mode"] == "full-fallback":
+        print(f"full run: {info['reason']}")
+    elif info["selected"] == 0:
+        print(f"incremental: nothing changed that any of "
+              f"{info['statements_total']} statement(s) can reach")
+    else:
+        print(f"incremental: {info['selected']} of "
+              f"{info['statements_total']} statement(s) run")
     print(report.render(limit=20))
     if not report.passed:
         from ..core.repair import suggest_repairs
 
-        repairs = suggest_repairs(report, new_session.store)
+        repairs = suggest_repairs(report, session.store)
         if repairs:
             print("suggested repairs:")
             for repair in repairs:
                 print("  " + repair.render())
     print("ACCEPT" if report.passed else "REJECT")
-    return exit_admit if report.passed else exit_reject
+    return EXIT_ADMIT if report.passed else EXIT_REJECT
 
 
 def _run_stats(args) -> int:
@@ -1096,7 +1082,8 @@ def _run_submit(args) -> int:
     import json as _json
     import time as _time
 
-    from ..jobs.model import EXIT_ADMIT, EXIT_ERROR, EXIT_REJECT, JobState
+    from ..core.verdict import EXIT_ADMIT, EXIT_ERROR, EXIT_REJECT
+    from ..jobs.model import JobState
 
     if args.workflow is not None:
         if args.spec is not None and args.spec_name is not None:

@@ -7,19 +7,24 @@ specification statement, the set of configuration key patterns it depends
 on, and selects the statements whose patterns can reach any key in a
 :class:`~repro.repository.versioned.ChangeSet`.
 
-Two layers:
+Three layers, written once for every delta entry point (the service's
+:class:`~repro.service.DeltaScanner`, ``mode: delta`` jobs and
+``confvalley gate``):
 
 * :class:`DependencyIndex` — a reusable statement → key-pattern index over
-  an already-parsed (or compiled) statement sequence.  Lookup is
-  trie-backed: patterns are filed under their trailing run of concrete
-  segment names, so mapping a changed key to candidate statements walks
-  the key leaf-first instead of scanning every pattern of every statement.
-  The continuous service attaches one index per compiled-spec cache entry
-  (:meth:`repro.parallel.cache.SpecCache.attachment`), so it is built once
-  and invalidated together with the compiled statements.
-* :class:`IncrementalValidator` — the pre-check-in gate: owns the parsed
-  corpus, delegates selection to a :class:`DependencyIndex`, and validates
-  the selected statements against the new store.
+  an already-compiled statement sequence.  Lookup is trie-backed: patterns
+  are filed under their trailing run of concrete segment names, so mapping
+  a changed key to candidate statements walks the key leaf-first instead
+  of scanning every pattern of every statement.
+* :func:`plan_delta` — compiles a spec through a session (and its
+  compiled-spec cache), decides whether a delta scan is sound, and returns
+  a :class:`DeltaPlan`: the compiled statements, the ``let`` and statement
+  units, the index (cached as a
+  :meth:`~repro.parallel.cache.SpecCache.attachment` of the compiled
+  entry), or the one reason the program must run in full.
+* :func:`check_change` — the stateless "check this change" run behind
+  delta jobs and the gate: diff a baseline store against the session's
+  store, plan, and evaluate the selected units.
 
 Selection is *conservative* — the index may select a statement the change
 cannot actually affect, but never the reverse:
@@ -48,25 +53,33 @@ delta/full parity suite): for any change set, a statement that is *not*
 selected cannot change outcome, because none of the instances its
 notations, binding pools, or compartment discovery can reach were touched.
 
->>> from repro.core.incremental import IncrementalValidator
+>>> from repro import ValidationSession
+>>> from repro.core.incremental import plan_delta
 >>> from repro.repository.versioned import ChangeSet
 >>> from repro.repository.model import ConfigInstance
 >>> from repro.repository.keys import parse_instance_key
->>> validator = IncrementalValidator(
-...     "$Cluster.Timeout -> int\\n$Cluster.Mode -> {'fast', 'safe'}"
+>>> plan = plan_delta(
+...     ValidationSession(),
+...     "$Cluster.Timeout -> int\\n$Cluster.Mode -> {'fast', 'safe'}",
 ... )
 >>> edit = ConfigInstance(parse_instance_key("Cluster::C1.Timeout"), "45", "doc")
->>> change = ChangeSet(modified=[(edit, edit)])
->>> [s.text for s in validator.affected_statements(change)]
+>>> [unit.statement.text for unit in plan.select(ChangeSet(modified=[(edit, edit)]))]
 ['$Cluster.Timeout -> int']
+
+A program the index cannot cover soundly carries the reason instead:
+
+>>> plan_delta(ValidationSession(), "namespace A {\\n  let X := int\\n  $Y -> @X\\n}").reason
+'a let is nested inside a block'
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Sequence
 
 from ..cpl import ast, parse
+from ..parallel.engine import WorkerState, _absorb, evaluate_shard
+from ..parallel.shards import Shard, Unit, select_units, serial_only_reason
 from ..repository.keys import (
     InstanceKey,
     KeyPattern,
@@ -75,13 +88,13 @@ from ..repository.keys import (
     parse_pattern,
 )
 from ..repository.store import ConfigStore
-from ..repository.versioned import ChangeSet
-from ..runtime import RuntimeProvider
-from .policy import ValidationPolicy
+from ..repository.versioned import ChangeSet, diff_stores
 from .report import ValidationReport
-from .session import ValidationSession
 
-__all__ = ["DependencyIndex", "IncrementalValidator"]
+if TYPE_CHECKING:
+    from .session import ValidationSession
+
+__all__ = ["DependencyIndex", "DeltaPlan", "plan_delta", "check_change"]
 
 #: Predicate primitives whose verdict depends on ambient runtime state
 #: (filesystem, network) rather than the configuration store alone.
@@ -240,9 +253,9 @@ class DependencyIndex:
 
     Built once per compiled spec; :meth:`affected` maps a
     :class:`~repro.repository.versioned.ChangeSet` to the (sorted) indices
-    of the statements that must re-run.  Raises :class:`ValueError` for
-    ``load``/``include`` commands — those are session-time side effects
-    that must be resolved before change-driven selection makes sense.
+    of the statements that must re-run.  The statements must be compiled:
+    :func:`plan_delta` never indexes a program with ``load``/``include``
+    commands, whose compilation has side effects no change set describes.
 
     >>> from repro.cpl import parse
     >>> from repro.repository.versioned import ChangeSet
@@ -255,17 +268,11 @@ class DependencyIndex:
     """
 
     def __init__(self, statements: Sequence[ast.Statement]):
-        self._statements = list(statements)
         self._trie = _PatternTrie()
         self._always: list[int] = []
         self._compartments: list[tuple[int, tuple[KeyPattern, ...]]] = []
         macros: dict[str, ast.PredExpr] = {}
-        for index, statement in enumerate(self._statements):
-            if isinstance(statement, (ast.LoadCmd, ast.IncludeCmd)):
-                raise ValueError(
-                    "load/include are session commands; resolve them before "
-                    "building a dependency index"
-                )
+        for index, statement in enumerate(statements):
             if isinstance(statement, ast.LetCmd):
                 macros[statement.name] = statement.predicate
                 self._always.append(index)
@@ -279,16 +286,6 @@ class DependencyIndex:
             compartments = tuple(_compartment_patterns(statement))
             if compartments:
                 self._compartments.append((index, compartments))
-
-    # ------------------------------------------------------------------
-
-    @property
-    def statement_count(self) -> int:
-        return len(self._statements)
-
-    @property
-    def statements(self) -> list[ast.Statement]:
-        return self._statements
 
     @staticmethod
     def _scope_touches(pattern: KeyPattern, key: InstanceKey) -> bool:
@@ -327,59 +324,124 @@ class DependencyIndex:
                     selected.add(index)
         return sorted(selected)
 
-    def affected_statements(self, change: ChangeSet) -> list[ast.Statement]:
-        """The statements themselves, in original order."""
-        return [self._statements[i] for i in self.affected(change)]
 
+@dataclass(frozen=True)
+class DeltaPlan:
+    """A compiled program, split and indexed for delta evaluation.
 
-class IncrementalValidator:
-    """Pre-compiled spec corpus with change-driven statement selection.
-
-    The check-in gate (``confvalley gate``): parse the corpus once, then
-    for each candidate change validate only the affected statements
-    against the new store.  ``last_selected`` / ``last_skipped`` expose
-    the most recent selection split for reporting.
+    ``lets`` and ``units`` are :func:`~repro.parallel.shards.select_units`
+    of ``statements``.  ``reason`` is ``None`` when evaluating only the
+    selected units is provably equivalent to a full run; otherwise it says
+    why not, ``index`` is ``None``, and the caller runs the full program.
     """
 
-    def __init__(
-        self,
-        spec_text: str,
-        runtime: Optional[RuntimeProvider] = None,
-        policy: Optional[ValidationPolicy] = None,
-    ):
-        self._runtime = runtime
-        self._policy = policy
-        self._index = DependencyIndex(parse(spec_text).statements)
-        self.last_selected = 0
-        self.last_skipped = 0
+    statements: tuple
+    lets: tuple[Unit, ...]
+    units: tuple[Unit, ...]
+    index: Optional[DependencyIndex]
+    reason: Optional[str]
 
-    # ------------------------------------------------------------------
+    def select(self, change: Optional[ChangeSet]) -> tuple[Unit, ...]:
+        """The units ``change`` can affect; every unit when it is ``None``
+        (a bootstrap, or a spec that changed)."""
+        if change is None:
+            return self.units
+        affected = set(self.index.affected(change))
+        return tuple(unit for unit in self.units if unit.index in affected)
 
-    @property
-    def statement_count(self) -> int:
-        return self._index.statement_count
 
-    def affected_statements(self, change: ChangeSet) -> list[ast.Statement]:
-        """Statements whose notations can reach a touched key."""
-        return self._index.affected_statements(change)
+def plan_delta(session: "ValidationSession", spec_text: str) -> DeltaPlan:
+    """Compile ``spec_text`` through ``session`` and plan a delta scan.
 
-    # ------------------------------------------------------------------
-
-    def validate_change(
-        self, new_store: ConfigStore, change: ChangeSet
-    ) -> ValidationReport:
-        """Validate only the change-affected specs against the new state."""
-        selected = self.affected_statements(change)
-        self.last_selected = len(selected)
-        self.last_skipped = self.statement_count - len(selected)
-        session = ValidationSession(
-            store=new_store, runtime=self._runtime, policy=self._policy
+    The program cannot be delta-scanned when it has ``load``/``include``
+    commands (compiling them loads sources or reads other files, which a
+    change set does not describe) or when
+    :func:`~repro.parallel.shards.serial_only_reason` names a reason (a
+    nested ``let``, or a policy with cross-statement semantics).  The
+    dependency index is taken from the session's compiled-spec cache when
+    it has one, so it is built once per compiled spec.
+    """
+    statements = tuple(session.compile(spec_text))
+    lets, units = select_units(statements)
+    reason = serial_only_reason(statements, session.policy)
+    index = None
+    if reason is None and session.spec_cache is not None:
+        index = session.spec_cache.attachment(
+            spec_text,
+            session._options_fingerprint(),
+            "dependency_index",
+            DependencyIndex,
         )
-        return session.validate_statements(selected)
+    if reason is None and index is None:
+        # not in the cache: no cache, an evicted entry, or a program with
+        # commands (never cached) — only the parse can tell them apart
+        if any(
+            isinstance(statement, (ast.LoadCmd, ast.IncludeCmd))
+            for statement in parse(spec_text).statements
+        ):
+            reason = "the program has load/include commands"
+        else:
+            index = DependencyIndex(statements)
+    return DeltaPlan(statements, lets, units, index, reason)
 
-    def validate_full(self, store: ConfigStore) -> ValidationReport:
-        """Run the whole corpus (baseline / first commit)."""
-        session = ValidationSession(
-            store=store, runtime=self._runtime, policy=self._policy
+
+def check_change(
+    session: "ValidationSession",
+    spec_text: str,
+    baseline: Optional[ConfigStore],
+) -> ValidationReport:
+    """Validate what a change can reach: the stateless delta check.
+
+    ``session`` holds the candidate store; ``baseline`` is the store before
+    the change (``None`` = empty, so everything counts as added).  The
+    selected units run as one shard against the candidate store.  A program
+    :func:`plan_delta` cannot cover soundly runs in full on the same
+    session instead.  Either way the report carries a ``delta_info``
+    record: ``mode`` (``"delta"`` or ``"full-fallback"``),
+    ``statements_total``, ``selected``, ``skipped``, the ``change`` summary
+    and, on a fallback, the ``reason``.
+
+    >>> from repro import ValidationSession
+    >>> session = ValidationSession()
+    >>> __ = session.load_text("keyvalue", "s.Timeout = 999\\ns.Name = web")
+    >>> baseline = ValidationSession()
+    >>> __ = baseline.load_text("keyvalue", "s.Timeout = 30\\ns.Name = web")
+    >>> report = check_change(
+    ...     session, "$s.Timeout -> [1, 60]\\n$s.Name -> nonempty", baseline.store
+    ... )
+    >>> report.passed, report.delta_info["selected"], report.delta_info["skipped"]
+    (False, 1, 1)
+    """
+    change = diff_stores(baseline, session.store)
+    plan = plan_delta(session, spec_text)
+    info = {"statements_total": len(plan.units), "change": change.summary()}
+    if plan.reason is not None:
+        report = session._run_validation(list(plan.statements), None)
+        info.update(
+            mode="full-fallback",
+            selected=len(plan.units),
+            skipped=0,
+            reason=f"program cannot be delta-validated soundly: {plan.reason}",
         )
-        return session.validate_statements(self._index.statements)
+    else:
+        selected = plan.select(change)
+        state = WorkerState(
+            store=session.store,
+            runtime=session.runtime,
+            policy=session.policy,
+            lets=plan.lets,
+        )
+        result = evaluate_shard(state, Shard("delta", selected))
+        report = ValidationReport()
+        for __, unit_report in result.unit_reports:
+            _absorb(report, unit_report)
+        report.executor = "delta"
+        report.shards_run += 1
+        report.elapsed_seconds = result.seconds
+        info.update(
+            mode="delta",
+            selected=len(selected),
+            skipped=len(plan.units) - len(selected),
+        )
+    report.delta_info = info
+    return report

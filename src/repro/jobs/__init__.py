@@ -38,8 +38,9 @@ __all__, __getattr__, __dir__ = _exports.exports(__name__, {
     ".journal": ("JobJournal", "JournalTail", "apply_worker_event", "fold_merged",
                  "read_events"),
     ".lease": ("DEFAULT_LEASE_TTL", "JobDirectory", "Lease", "LeaseStore"),
-    ".model": ("EXIT_ADMIT", "EXIT_ERROR", "EXIT_REJECT", "AdmissionError", "JobState",
-               "ValidationJob", "error_verdict", "verdict_payload"),
+    "..core.verdict": ("EXIT_ADMIT", "EXIT_ERROR", "EXIT_REJECT", "error_verdict",
+                       "verdict_payload"),
+    ".model": ("AdmissionError", "JobState", "ValidationJob"),
     ".queue": ("AdmissionController", "JobQueue", "TokenBucket"),
     ".service": ("JobService", "parse_source_ref"),
     ".webhook": ("WebhookDelivery", "WebhookDispatcher"),

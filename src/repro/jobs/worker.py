@@ -50,6 +50,7 @@ from typing import Optional
 import contextlib
 
 from ..core.session import ValidationSession
+from ..core.verdict import error_verdict, verdict_payload
 from ..observability import (
     NULL_TRACER,
     SpanContext,
@@ -73,7 +74,7 @@ from .lease import (
     LeaseStore,
     heartbeat_interval,
 )
-from .model import JobState, ValidationJob, error_verdict, verdict_payload
+from .model import JobState, ValidationJob
 
 __all__ = [
     "JobExecutor",
@@ -280,78 +281,19 @@ class JobExecutor:
     def _validate_delta(self, job: ValidationJob, spec_text: str):
         """Scope the run to the statements the submitted change affects.
 
-        Diffs the job's sources against its ``baseline_sources`` (the
-        before-the-change snapshot), asks the spec's dependency index for
-        the affected statement indices, and evaluates only those against
-        the *new* store.  The verdict therefore answers "does this change
-        break anything the change can reach?" — deliberately narrower
-        than a full run, and marked as such in the verdict's ``delta``
-        block.  Programs the index cannot cover soundly (load/include
-        commands, serial-only policy semantics) fall back to a full run
-        with ``delta.mode = "full-fallback"``.
+        Runs :func:`repro.core.incremental.check_change` (the check
+        ``confvalley gate`` runs) of the job's sources against its
+        ``baseline_sources``: the verdict answers "does this change break
+        anything it can reach?", and its ``delta`` block says how the run
+        was scoped, or why it fell back to a full run.
         """
-        from ..core.incremental import DependencyIndex
-        from ..core.report import ValidationReport
-        from ..parallel.engine import WorkerState, _absorb, evaluate_shard
-        from ..parallel.shards import Shard, is_parallel_safe, select_units
-        from ..repository.versioned import diff_stores
-
-        session = self._build_session(job)
-        self._load_sources(session, job.sources)
-        before_compile = session.store.instance_count
-        statements = session.compile(spec_text)
-        unsound = (
-            session.store.instance_count != before_compile  # load/include
-            or not is_parallel_safe(statements, session.policy)
-        )
-        if unsound:
-            fresh = self._build_session(job)
-            self._load_sources(fresh, job.sources)
-            report = fresh.validate(spec_text)
-            report.delta_info = {
-                "mode": "full-fallback",
-                "reason": "program cannot be delta-validated soundly "
-                "(load/include commands or serial-only semantics)",
-            }
-            self._attach_shadow(report, fresh.store)
-            return report
+        from ..core.incremental import check_change
 
         baseline = self._build_session(job)
         self._load_sources(baseline, job.baseline_sources)
-        change = diff_stores(baseline.store, session.store)
-        index = None
-        if self.spec_cache is not None:
-            index = self.spec_cache.attachment(
-                spec_text,
-                session._options_fingerprint(),
-                "dependency_index",
-                lambda entry: DependencyIndex(list(entry)),
-            )
-        if index is None:
-            index = DependencyIndex(statements)
-        affected = set(index.affected(change))
-        lets, all_units = select_units(statements)
-        selected = tuple(unit for unit in all_units if unit.index in affected)
-        state = WorkerState(
-            store=session.store,
-            runtime=session.runtime,
-            policy=session.policy,
-            lets=lets,
-        )
-        result = evaluate_shard(state, Shard("delta", selected))
-        report = ValidationReport()
-        for __, unit_report in result.unit_reports:
-            _absorb(report, unit_report)
-        report.executor = "delta"
-        report.shards_run += 1
-        report.elapsed_seconds = result.seconds
-        report.delta_info = {
-            "mode": "delta",
-            "statements_total": len(all_units),
-            "selected": len(selected),
-            "skipped": len(all_units) - len(selected),
-            "change": change.summary(),
-        }
+        session = self._build_session(job)
+        self._load_sources(session, job.sources)
+        report = check_change(session, spec_text, baseline.store)
         self._attach_shadow(report, session.store)
         return report
 

@@ -33,6 +33,6 @@ __all__, __getattr__, __dir__ = _exports.exports(__name__, {
     ".executors": ("PROCESS_CUTOFF", "SERIAL_CUTOFF", "ProcessShardExecutor",
                    "SerialExecutor", "ThreadShardExecutor", "choose_executor",
                    "resolve_executor"),
-    ".shards": ("Shard", "Unit", "is_parallel_safe", "partition_statements", "scope_key"),
+    ".shards": ("Shard", "Unit", "partition_statements", "scope_key", "serial_only_reason"),
     ".supervision": ("ShardFailure", "run_supervised"),
 })

@@ -18,7 +18,7 @@ Macro (``let``) handling: top-level lets are broadcast to every shard and
 replayed in original order before any unit with a higher original index,
 reproducing serial visibility.  Programs with *nested* lets (or policies
 with cross-statement behavior) are rejected by
-:func:`repro.parallel.shards.is_parallel_safe`, and
+:func:`repro.parallel.shards.serial_only_reason`, and
 :class:`ParallelValidator` falls back to plain serial evaluation for them.
 """
 
@@ -39,7 +39,7 @@ from ..repository.store import ConfigStore
 from ..runtime import RuntimeProvider, StaticRuntime
 from ..runtime import clock as _clock
 from .executors import ExecutorLike, resolve_executor
-from .shards import Shard, Unit, is_parallel_safe, partition_statements
+from .shards import Shard, Unit, partition_statements, serial_only_reason
 
 __all__ = ["ParallelValidator", "WorkerState", "ShardResult", "evaluate_shard"]
 
@@ -225,8 +225,9 @@ class ParallelValidator:
         metrics = get_metrics()
         started = _clock.now()
         with tracer.span("evaluate", mode="parallel") as span:
-            if not is_parallel_safe(statements, self.policy):
-                span.set(fallback="serial")
+            reason = serial_only_reason(statements, self.policy)
+            if reason is not None:
+                span.set(fallback="serial", reason=reason)
                 result = self._serial_fallback(statements, report, macros)
                 result.elapsed_seconds += _clock.now() - started
                 return result

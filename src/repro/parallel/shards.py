@@ -24,7 +24,7 @@ broadcast to all shards and replayed in original order before any unit
 with a higher original index runs (:func:`repro.parallel.engine.evaluate_shard`).
 
 Nested ``let`` commands (inside a namespace/compartment block) would leak
-macros across units in serial evaluation; :func:`is_parallel_safe` detects
+macros across units in serial evaluation; :func:`serial_only_reason` detects
 them so callers can fall back to serial evaluation rather than silently
 diverge.
 """
@@ -42,7 +42,7 @@ __all__ = [
     "partition_statements",
     "select_units",
     "scope_key",
-    "is_parallel_safe",
+    "serial_only_reason",
 ]
 
 
@@ -137,10 +137,12 @@ def _contains_let(statements: Sequence[ast.Statement]) -> bool:
     return False
 
 
-def is_parallel_safe(statements: Sequence[ast.Statement], policy=None) -> bool:
-    """True when sharded evaluation is provably equivalent to serial.
+def serial_only_reason(
+    statements: Sequence[ast.Statement], policy=None
+) -> Optional[str]:
+    """Why sharded evaluation could differ from serial, or ``None``.
 
-    Three situations force a serial fallback:
+    Four situations force one serial run:
 
     * ``stop_on_first_violation`` — "stop the whole run" is inherently
       ordered across statements;
@@ -150,16 +152,23 @@ def is_parallel_safe(statements: Sequence[ast.Statement], policy=None) -> bool:
       order (and callbacks may not be picklable for process executors);
     * a ``let`` nested inside a block — in serial evaluation the macro
       leaks to every later statement, which sharding cannot reproduce.
+
+    Delta validation (:mod:`repro.core.incremental`) evaluates selected
+    units the same way, so it falls back on the same reasons.
     """
     if policy is not None:
-        if policy.stop_on_first_violation or policy.priorities or policy.on_violation:
-            return False
+        if policy.stop_on_first_violation:
+            return "the policy stops on the first violation"
+        if policy.priorities:
+            return "the policy reorders statements by priority"
+        if policy.on_violation:
+            return "the policy has an on_violation callback"
     for statement in statements:
         if isinstance(statement, ast.LetCmd):
             continue  # top-level lets are broadcast, see partition_statements
         if _contains_let([statement]):
-            return False
-    return True
+            return "a let is nested inside a block"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -169,26 +178,24 @@ def is_parallel_safe(statements: Sequence[ast.Statement], policy=None) -> bool:
 
 def select_units(
     statements: Sequence[ast.Statement],
-    indices: Optional[set] = None,
 ) -> tuple[tuple[Unit, ...], tuple[Unit, ...]]:
     """Split a compiled program into ``(lets, units)`` for delta evaluation.
 
     ``lets`` are every top-level macro definition in original order —
     exactly as :func:`partition_statements` broadcasts them — and ``units``
-    are the non-``let`` statements, restricted to positions in ``indices``
-    when given (``None`` selects everything).  Delta validation
-    (:class:`repro.service.DeltaScanner`) evaluates the selected units as a
-    single shard via :func:`repro.parallel.engine.evaluate_shard` and
-    splices the per-unit reports over the retained ones, so macro
-    visibility must match what any full evaluation would have seen — which
-    is why *all* lets are returned even when only a few units are selected.
+    are the non-``let`` statements.  Delta validation
+    (:func:`repro.core.incremental.plan_delta`) evaluates the units a
+    change can affect as a single shard via
+    :func:`repro.parallel.engine.evaluate_shard`, so macro visibility must
+    match what any full evaluation would have seen — which is why *all*
+    lets are replayed even when only a few units are selected.
     """
     lets: list[Unit] = []
     units: list[Unit] = []
     for index, statement in enumerate(statements):
         if isinstance(statement, ast.LetCmd):
             lets.append(Unit(index, statement))
-        elif indices is None or index in indices:
+        else:
             units.append(Unit(index, statement))
     return tuple(lets), tuple(units)
 

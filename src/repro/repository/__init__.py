@@ -9,5 +9,5 @@ __all__, __getattr__, __dir__ = _exports.exports(__name__, {
     ".naive": ("NaiveIndex",),
     ".store": ("ConfigStore",),
     ".trie": ("TrieIndex",),
-    ".versioned": ("ChangeSet", "ConfigRepository", "Snapshot", "diff_stores"),
+    ".versioned": ("ChangeSet", "diff_stores"),
 })

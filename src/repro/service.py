@@ -40,7 +40,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .core.incremental import DependencyIndex
+from .core.incremental import plan_delta
 from .core.policy import ValidationPolicy
 from .core.report import HealthBlock, ValidationReport
 from .core.session import ValidationSession, resolve_driver
@@ -50,7 +50,7 @@ from .observability import get_logger, get_metrics, get_tracer, write_snapshot
 from .observability.analytics import SpecAnalytics, merge_spec_profiles
 from .parallel.cache import SpecCache, SpecCacheStats
 from .parallel.engine import WorkerState, _absorb, evaluate_shard
-from .parallel.shards import Shard, is_parallel_safe, select_units
+from .parallel.shards import Shard
 from .repository.store import ConfigStore
 from .repository.versioned import diff_stores
 from .resilience import ResiliencePolicy, SourceSupervisor, SpecCircuitBreaker
@@ -126,9 +126,9 @@ class DeltaScanner:
        instances it is given;
     2. diffs the rebuilt store against the retained one
        (:func:`repro.repository.versioned.diff_stores`) and asks the
-       spec's :class:`~repro.core.incremental.DependencyIndex` — cached
-       as an :meth:`~repro.parallel.cache.SpecCache.attachment` of the
-       compiled entry — for the affected statement indices;
+       spec's delta plan (:func:`repro.core.incremental.plan_delta`, the
+       compile, soundness check and selection every delta entry point
+       shares) for the affected units;
     3. evaluates just those units via the parallel engine's
        :func:`~repro.parallel.engine.evaluate_shard` (the same per-unit
        reports a sharded run produces) and splices them over the retained
@@ -136,11 +136,11 @@ class DeltaScanner:
        :meth:`~repro.core.report.ValidationReport.fingerprint` is
        byte-identical to a full scan's.
 
-    :meth:`scan` returns ``None`` whenever incremental validation cannot
-    be proven equivalent to a full scan — programs with ``load`` or
-    ``include`` commands (compile-time side effects) and programs that
-    fail :func:`~repro.parallel.shards.is_parallel_safe` (cross-statement
-    ordering semantics) — and the caller runs the full path instead.
+    :meth:`scan` returns ``None`` whenever the plan says incremental
+    validation cannot be proven equivalent to a full scan — programs with
+    ``load`` or ``include`` commands (compile-time side effects), nested
+    ``let`` commands or serial-only policies — and the caller runs the
+    full path instead; ``last_fallback_reason`` keeps the reason.
     State commits atomically at the *end* of a successful scan, so an
     exception mid-scan leaves the previous snapshot intact.
     """
@@ -159,6 +159,8 @@ class DeltaScanner:
         self.fallbacks = 0
         self.selected_total = 0
         self.skipped_total = 0
+        #: why the last scan that fell back to the full path did so
+        self.last_fallback_reason: Optional[str] = None
 
     @property
     def store(self) -> Optional[ConfigStore]:
@@ -186,6 +188,7 @@ class DeltaScanner:
             "fallbacks": self.fallbacks,
             "statements_selected": self.selected_total,
             "statements_skipped": self.skipped_total,
+            "last_fallback_reason": self.last_fallback_reason,
         }
 
     # ------------------------------------------------------------------
@@ -206,16 +209,12 @@ class DeltaScanner:
         if not os.path.isabs(spec_path):
             spec_path = os.path.join(session.base_dir, spec_path)
         spec_text = session.runtime.read_bytes(spec_path).decode("utf-8")
-        statements = session.compile(spec_text)
+        plan = plan_delta(session, spec_text)
         compile_hit, session._last_compile_hit = session._last_compile_hit, None
-        if session.store.instance_count:
-            # the program had load/include commands: compiling it loaded
-            # sources as a side effect, which the splice cannot reproduce
+        if plan.reason is not None:
+            self.last_fallback_reason = plan.reason
             return None
-        if not is_parallel_safe(statements, session.policy):
-            return None  # cross-statement semantics require one serial run
-        fingerprint = session._options_fingerprint()
-        spec_key = (spec_text, fingerprint)
+        spec_key = (spec_text, session._options_fingerprint())
 
         changed_set = set(changed)
         new_raw: dict[str, tuple] = {}
@@ -230,34 +229,20 @@ class DeltaScanner:
             new_raw[source.path] = cached
             new_store.add_all(cached)
 
-        lets, units = select_units(statements)
+        units = plan.units
         if self._store is None or spec_key != self._spec_key:
             mode = "bootstrap"
             change = None
-            selected_units = units
         else:
             mode = "delta"
             change = diff_stores(self._store, new_store)
-            index = None
-            if service.spec_cache is not None:
-                index = service.spec_cache.attachment(
-                    spec_text,
-                    fingerprint,
-                    "dependency_index",
-                    lambda entry: DependencyIndex(list(entry)),
-                )
-            if index is None:  # cache miss or uncacheable-by-policy entry
-                index = DependencyIndex(statements)
-            affected = set(index.affected(change))
-            selected_units = tuple(
-                unit for unit in units if unit.index in affected
-            )
+        selected_units = plan.select(change)
 
         state = WorkerState(
             store=new_store,
             runtime=session.runtime,
             policy=session.policy,
-            lets=lets,
+            lets=plan.lets,
             profile=session.evaluator.profile,
             analytics=session.evaluator.analytics,
             guard=guard,
@@ -629,14 +614,17 @@ class ValidationService:
         guard = self.breaker.begin_scan()
         if self._delta is not None:
             outcome = None
-            if self._delta_eligible(guard):
+            reason = self._delta_blocker(guard)
+            if reason is None:
                 try:
                     outcome = self._delta.scan(changed, guard=guard)
-                except Exception:
+                except Exception as exc:
                     # any delta-path fault (unreadable source or spec,
                     # driver error): the full supervised path below owns
                     # fault classification and quarantine bookkeeping
-                    outcome = None
+                    reason = f"delta scan failed: {type(exc).__name__}: {exc}"
+            if reason is not None:
+                self._delta.last_fallback_reason = reason
             if outcome is not None:
                 report, info = outcome
                 self.breaker.observe(report)
@@ -721,28 +709,26 @@ class ValidationService:
         health.finalize()
         return self._record(report, changed, health=health, store=session.store)
 
-    def _delta_eligible(self, guard) -> bool:
-        """Only a fully healthy service may scan incrementally.
+    def _delta_blocker(self, guard) -> Optional[str]:
+        """Why this scan may not be incremental; ``None`` when it may.
 
-        Quarantine retries, breaker probes, and degraded-scan recovery
-        all change which statements run and how failures are classified;
-        the full-scan equivalence argument (docs/INCREMENTAL.md) only
-        covers clean steady state, so anything else — open breakers,
-        quarantined sources, a previous scan that was not ``OK`` — takes
-        the full supervised path until the service is clean again.
+        Only a fully healthy service scans incrementally.  Quarantine
+        retries, breaker probes, and degraded-scan recovery all change
+        which statements run and how failures are classified; the
+        full-scan equivalence argument (docs/INCREMENTAL.md) only covers
+        clean steady state, so anything else takes the full supervised
+        path until the service is clean again.
         """
-        if guard.quarantined:
-            return False
-        if self.breaker.snapshot():
-            return False
+        if guard.quarantined or self.breaker.snapshot():
+            return "a spec circuit breaker is not closed"
         if self.source_supervisor.quarantined():
-            return False
+            return "a source is quarantined"
         last = self.history[-1] if self.history else None
         if last is not None and (
             last.health is None or last.health.status != HealthBlock.OK
         ):
-            return False
-        return True
+            return "the last scan was not OK"
+        return None
 
     # ------------------------------------------------------------------
 

@@ -89,7 +89,7 @@ class TestGateSubcommand:
             "--full",
         ])
         assert code == 0
-        assert "full corpus: 3 statement(s)" in capsys.readouterr().out
+        assert "full corpus: every statement run" in capsys.readouterr().out
 
     def test_without_old_everything_is_new(self, tmp_path, capsys):
         root = self.setup_files(tmp_path, 30)
@@ -98,6 +98,50 @@ class TestGateSubcommand:
         ])
         assert code == 0
         assert "+3" in capsys.readouterr().out
+
+
+class TestGateFallbacks:
+    """Programs a delta check cannot cover soundly run in full, with the
+    reason, and reach the same verdict as ``gate --full`` and
+    ``validate``."""
+
+    def run(self, args, capsys):
+        code = main(args)
+        return code, capsys.readouterr().out
+
+    def test_nested_let_falls_back_to_a_full_run(self, tmp_path, capsys):
+        (tmp_path / "spec.cpl").write_text(
+            "namespace A {\n  let X := int\n  $Y -> int\n}\n$B.Z -> @X\n"
+        )
+        (tmp_path / "old.kv").write_text("A.Y=1\nB.Z=1\n")
+        (tmp_path / "new.kv").write_text("A.Y=1\nB.Z=notint\n")
+        gate = ["gate", str(tmp_path / "spec.cpl"),
+                "--old", f"keyvalue:{tmp_path}/old.kv",
+                "--new", f"keyvalue:{tmp_path}/new.kv"]
+        for extra in ([], ["--full"]):
+            code, out = self.run(gate + extra, capsys)
+            assert code == 1, out
+            assert "REJECT" in out
+            assert "value 'notint' of B.Z is not a valid int" in out
+        code, out = self.run(gate, capsys)
+        assert "full run: program cannot be delta-validated soundly: " \
+            "a let is nested inside a block" in out
+
+    def test_include_resolves_like_validate(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "inc.cpl").write_text("$A.X -> int\n")
+        (tmp_path / "spec.cpl").write_text("include 'inc.cpl'\n$A.Y -> int\n")
+        (tmp_path / "old.kv").write_text("A.X=1\nA.Y=1\n")
+        (tmp_path / "new.kv").write_text("A.X=1\nA.Y=no\n")
+        gate = ["gate", "spec.cpl", "--old", "keyvalue:old.kv",
+                "--new", "keyvalue:new.kv"]
+        for args in (gate, gate + ["--full"],
+                     ["validate", "spec.cpl", "--source", "keyvalue:new.kv"]):
+            code, out = self.run(args, capsys)
+            assert code == 1, out
+            assert "value 'no' of A.Y is not a valid int" in out
+        code, out = self.run(gate, capsys)
+        assert "the program has load/include commands" in out
 
 
 class TestGateJson:

@@ -73,6 +73,8 @@ def test_session_validate_loads_only_the_scan_path(tmp_path):
         "yaml", "tomllib", "http.server", "multiprocessing",
         "repro.jobs", "repro.workflows", "repro.lifecycle", "repro.inference",
         "repro.observability.server", "repro.observability.federation",
+        # delta planning, sharding and change sets stay off the plain path
+        "repro.core.incremental", "repro.parallel", "repro.repository.versioned",
     )) == []
 
 
@@ -103,3 +105,14 @@ def test_cli_validate_skips_inference(tmp_path):
         assert main(["validate", spec, "--source", "xml:" + fleet]) == 0
     """)
     assert _offending(loaded, ("repro.inference", "repro.workflows", "yaml")) == []
+
+
+def test_cli_gate_skips_the_job_service(tmp_path):
+    # the change check is shared with delta jobs; it must not live there
+    loaded = _loaded_after(tmp_path, """
+        from repro.console.cli import main
+
+        assert main(["gate", spec, "--new", "xml:" + fleet]) == 0
+    """)
+    assert "repro.core.incremental" in loaded
+    assert _offending(loaded, ("repro.jobs", "repro.inference", "yaml")) == []

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import ConfigRepository, IncrementalValidator, ValidationSession
+from repro import ConfigStore, ValidationSession
+from repro.core.incremental import check_change, plan_delta
 from repro.repository.keys import parse_instance_key
 from repro.repository.model import ConfigInstance
+from repro.repository.versioned import diff_stores
 
 
 def inst(key_text, value):
@@ -37,84 +38,83 @@ BASE = [
 ]
 
 
-def commit_pair(new_instances):
-    repo = ConfigRepository()
-    old = repo.commit(BASE)
-    new = repo.commit(new_instances)
-    return repo, old, new
+def store_of(instances):
+    store = ConfigStore()
+    store.add_all(instances)
+    return store
+
+
+def check(new_instances, baseline=BASE):
+    """The delta check of BASE → ``new_instances`` against SPECS."""
+    session = ValidationSession(store=store_of(new_instances))
+    return check_change(session, SPECS, store_of(baseline))
+
+
+def replaced(key, value):
+    return [inst(key, value) if i.key.render() == key else i for i in BASE]
 
 
 class TestSelection:
     def test_only_touched_specs_selected(self):
-        validator = IncrementalValidator(SPECS)
-        repo, old, new = commit_pair(
-            [inst("Cluster::C1.Timeout", "45")] + BASE[1:]
+        plan = plan_delta(ValidationSession(), SPECS)
+        change = diff_stores(
+            store_of(BASE), store_of(replaced("Cluster::C1.Timeout", "45"))
         )
-        change = repo.diff(old, new)
-        selected = validator.affected_statements(change)
-        # the let (always) + the Timeout spec
-        assert len(selected) == 2
+        selected = plan.select(change)
+        # lets are not units: they are replayed before every selected unit
+        assert [unit.statement.text for unit in selected] == [
+            "$Cluster.Timeout -> @SmallInt"
+        ]
 
     def test_wildcard_specs_selected_when_matching(self):
-        validator = IncrementalValidator(SPECS)
-        repo, old, new = commit_pair(
-            BASE[:-1] + [inst("Fabric.AgentPort", "9090")]
-        )
-        change = repo.diff(old, new)
-        report = validator.validate_change(repo.store_for(new), change)
+        report = check(replaced("Fabric.AgentPort", "9090"))
         assert report.passed
-        assert validator.last_selected == 2  # let + $*Port*
+        assert report.delta_info["selected"] == 1  # $*Port*
 
     def test_compartment_spec_selected_by_member_change(self):
-        validator = IncrementalValidator(SPECS)
-        changed = [
-            i if i.key.render() != "Cluster::C1.Ceiling" else inst("Cluster::C1.Ceiling", "0")
-            for i in BASE
-        ]
-        repo, old, new = commit_pair(changed)
-        change = repo.diff(old, new)
-        report = validator.validate_change(repo.store_for(new), change)
+        report = check(replaced("Cluster::C1.Ceiling", "0"))
         assert len(report.violations) == 1  # Floor 1 > Ceiling 0
 
     def test_empty_change_selects_nothing(self):
-        validator = IncrementalValidator(SPECS)
-        repo, old, new = commit_pair(list(BASE))
-        change = repo.diff(old, new)
-        report = validator.validate_change(repo.store_for(new), change)
+        report = check(list(BASE))
         assert report.specs_evaluated == 0
-        assert validator.last_skipped == validator.statement_count - 1  # let kept
+        info = report.delta_info
+        assert info["mode"] == "delta"
+        assert info["selected"] == 0
+        assert info["skipped"] == info["statements_total"]
 
     def test_lets_always_retained(self):
-        validator = IncrementalValidator(SPECS)
-        repo, old, new = commit_pair(
-            [inst("Cluster::C1.Timeout", "999")] + BASE[1:]
-        )
-        change = repo.diff(old, new)
-        report = validator.validate_change(repo.store_for(new), change)
+        report = check(replaced("Cluster::C1.Timeout", "999"))
         assert len(report.violations) == 1  # @SmallInt resolved fine
 
     def test_aggregate_rerun_over_full_domain(self):
-        validator = IncrementalValidator(SPECS)
         # change one Node IP to collide with the *unchanged* other one
-        changed = [
-            i if i.key.render() != "Node::N2.IP" else inst("Node::N2.IP", "10.0.0.1")
-            for i in BASE
-        ]
-        repo, old, new = commit_pair(changed)
-        change = repo.diff(old, new)
-        report = validator.validate_change(repo.store_for(new), change)
+        report = check(replaced("Node::N2.IP", "10.0.0.1"))
         assert len(report.violations) == 1
         assert report.violations[0].constraint == "unique"
 
-    def test_load_commands_rejected(self):
-        with pytest.raises(ValueError):
-            IncrementalValidator("load 'ini' 'x.ini'\n$K -> int")
+    def test_load_commands_rejected(self, tmp_path):
+        # compiling a load command loads a source: no change set covers
+        # that, so the plan refuses delta selection and says why
+        (tmp_path / "x.ini").write_text("[s]\nK = 1\n")
+        session = ValidationSession(base_dir=str(tmp_path))
+        plan = plan_delta(session, "load 'ini' 'x.ini'\n$K -> int")
+        assert plan.reason == "the program has load/include commands"
+        assert plan.index is None
+        report = check_change(
+            ValidationSession(base_dir=str(tmp_path)),
+            "load 'ini' 'x.ini'\n$K -> int",
+            None,
+        )
+        assert report.delta_info["mode"] == "full-fallback"
+        assert report.passed and report.specs_evaluated == 1
 
     def test_validate_full_baseline(self):
-        validator = IncrementalValidator(SPECS)
-        repo = ConfigRepository()
-        snapshot = repo.commit(BASE)
-        assert validator.validate_full(repo.store_for(snapshot)).passed
+        plan = plan_delta(ValidationSession(), SPECS)
+        assert plan.select(None) == plan.units
+        report = check(list(BASE), baseline=[])  # no baseline: all added
+        assert report.passed
+        assert report.delta_info["selected"] == report.delta_info["statements_total"]
 
 
 # ---------------------------------------------------------------------------
@@ -149,12 +149,11 @@ def test_property_incremental_matches_full(mutations):
             new_instances.append(inst(key, value))
         else:
             new_instances.append(instance)
-    repo, old, new = commit_pair(new_instances)
-    change = repo.diff(old, new)
+    baseline, new = store_of(BASE), store_of(new_instances)
+    change = diff_stores(baseline, new)
 
-    validator = IncrementalValidator(SPECS)
-    incremental = validator.validate_change(repo.store_for(new), change)
-    full = ValidationSession(store=repo.store_for(new)).validate(SPECS)
+    incremental = check_change(ValidationSession(store=new), SPECS, baseline)
+    full = ValidationSession(store=new).validate(SPECS)
 
     def signature(report):
         return sorted({(v.key, v.value, v.constraint) for v in report.violations})

@@ -8,12 +8,12 @@ import os
 import pytest
 
 from repro import (
-    ConfigRepository,
     ConfigStore,
-    IncrementalValidator,
     SourceSpec,
     ValidationService,
     ValidationSession,
+    check_change,
+    diff_stores,
 )
 from repro.console import EditorValidator
 from repro.cpl import parse, print_program
@@ -90,26 +90,33 @@ class TestEditorXML:
         assert editor.update(good) == []
 
 
+def store_of(instances):
+    store = ConfigStore()
+    store.add_all(instances)
+    return store
+
+
 class TestIncrementalUnions:
     def test_union_domain_spec_selected_by_either_member(self):
-        validator = IncrementalValidator("$s.k1, $s.k2 -> int")
-        repo = ConfigRepository()
-        old = repo.commit([inst("s.k1", "1"), inst("s.k2", "2")])
-        new = repo.commit([inst("s.k1", "1"), inst("s.k2", "x")])
-        change = repo.diff(old, new)
-        report = validator.validate_change(repo.store_for(new), change)
+        old = store_of([inst("s.k1", "1"), inst("s.k2", "2")])
+        new = store_of([inst("s.k1", "1"), inst("s.k2", "x")])
+        report = check_change(
+            ValidationSession(store=new), "$s.k1, $s.k2 -> int", old
+        )
+        assert report.delta_info["selected"] == 1
         assert len(report.violations) == 1
 
     def test_inline_compartment_spec_selected(self):
-        validator = IncrementalValidator("#[DC] $Pool.F# -> consistent")
-        repo = ConfigRepository()
-        old = repo.commit([
+        old = store_of([
             inst("DC::D1.Pool::P1.F", "80"), inst("DC::D1.Pool::P2.F", "80"),
         ])
-        new = repo.commit([
+        new = store_of([
             inst("DC::D1.Pool::P1.F", "80"), inst("DC::D1.Pool::P2.F", "70"),
         ])
-        report = validator.validate_change(repo.store_for(new), repo.diff(old, new))
+        report = check_change(
+            ValidationSession(store=new), "#[DC] $Pool.F# -> consistent", old
+        )
+        assert report.delta_info["selected"] == 1
         assert len(report.violations) == 1
 
 
@@ -191,8 +198,6 @@ class TestRepairIntegration:
         repairs = suggest_repairs(report, store)
         repaired = apply_repairs(store.instances(), repairs)
 
-        repo = ConfigRepository()
-        repo.commit(list(store.instances()), "broken")
-        snapshot = repo.commit(repaired, "auto-repaired")
-        assert ValidationSession(store=repo.store_for(snapshot)).validate(spec).passed
-        assert len(repo.diff(*repo.log()[-2:]).modified) == 1
+        repaired_store = store_of(repaired)
+        assert ValidationSession(store=repaired_store).validate(spec).passed
+        assert len(diff_stores(store, repaired_store).modified) == 1

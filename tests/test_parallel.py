@@ -25,10 +25,10 @@ from repro.parallel import (
     SerialExecutor,
     ThreadShardExecutor,
     choose_executor,
-    is_parallel_safe,
     partition_statements,
     resolve_executor,
     scope_key,
+    serial_only_reason,
 )
 from repro.repository.store import ConfigStore
 from repro.synthetic import EXPERT_SPECS
@@ -119,17 +119,17 @@ class TestPartitioning:
 
 class TestParallelSafety:
     def test_plain_program_is_safe(self):
-        assert is_parallel_safe(compiled(EXPERT_SPECS["type_a"]))
+        assert serial_only_reason(compiled(EXPERT_SPECS["type_a"])) is None
 
     def test_top_level_lets_are_safe(self):
         statements = list(parse("let X := int\n$K -> @X\n").statements)
-        assert is_parallel_safe(statements)
+        assert serial_only_reason(statements) is None
 
     def test_nested_let_is_unsafe(self):
         statements = list(
             parse("namespace fabric {\n  let X := int\n  $K -> @X\n}\n").statements
         )
-        assert not is_parallel_safe(statements)
+        assert serial_only_reason(statements) == "a let is nested inside a block"
 
     @pytest.mark.parametrize(
         "policy",
@@ -141,7 +141,7 @@ class TestParallelSafety:
     )
     def test_cross_statement_policies_are_unsafe(self, policy):
         statements = list(parse("$K -> int\n").statements)
-        assert not is_parallel_safe(statements, policy)
+        assert serial_only_reason(statements, policy).startswith("the policy ")
 
 
 # ---------------------------------------------------------------------------

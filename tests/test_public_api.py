@@ -75,10 +75,8 @@ def test_version():
 def test_public_entry_points_importable():
     from repro import (  # noqa: F401
         ChangeSet,
-        ConfigRepository,
         ConfigStore,
         Evaluator,
-        IncrementalValidator,
         InferenceEngine,
         ValidationPolicy,
         ValidationService,

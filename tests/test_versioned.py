@@ -1,13 +1,11 @@
-"""Versioned configuration repository: branches, snapshots, diffs."""
+"""Change sets between configuration stores (``diff_stores``)."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro import ConfigRepository
-from repro.errors import ConfValleyError
+from repro import ConfigStore
 from repro.repository.keys import parse_instance_key
 from repro.repository.model import ConfigInstance
+from repro.repository.versioned import diff_stores
 
 
 def inst(key_text, value):
@@ -21,134 +19,45 @@ BASE = [
 ]
 
 
-class TestCommits:
-    def test_commit_and_head(self):
-        repo = ConfigRepository()
-        snapshot = repo.commit(BASE, message="initial")
-        assert repo.head() is snapshot
-        assert snapshot.sequence == 1
-        assert snapshot.parent_id is None
-        assert len(snapshot) == 3
-
-    def test_sequence_and_parent_chain(self):
-        repo = ConfigRepository()
-        first = repo.commit(BASE, "one")
-        second = repo.commit(BASE + [inst("Cluster::C3.Timeout", "30")], "two")
-        assert second.sequence == 2
-        assert second.parent_id == first.id
-
-    def test_ids_are_content_addressed(self):
-        repo1, repo2 = ConfigRepository(), ConfigRepository()
-        assert repo1.commit(BASE).id == repo2.commit(BASE).id
-
-    def test_get_by_id(self):
-        repo = ConfigRepository()
-        snapshot = repo.commit(BASE)
-        assert repo.get(snapshot.id) is snapshot
-        with pytest.raises(ConfValleyError):
-            repo.get("nope")
-
-    def test_log(self):
-        repo = ConfigRepository()
-        repo.commit(BASE, "a")
-        repo.commit(BASE, "b")
-        assert [s.message for s in repo.log()] == ["a", "b"]
-
-
-class TestBranches:
-    def test_create_branch_from_head(self):
-        repo = ConfigRepository()
-        repo.commit(BASE, "initial")
-        repo.create_branch("release", from_branch="trunk")
-        head = repo.head("release")
-        assert head is not None
-        assert len(head) == 3
-
-    def test_empty_branch(self):
-        repo = ConfigRepository()
-        repo.create_branch("feature")
-        assert repo.head("feature") is None
-
-    def test_duplicate_branch_rejected(self):
-        repo = ConfigRepository()
-        with pytest.raises(ConfValleyError):
-            repo.create_branch("trunk")
-
-    def test_unknown_branch_rejected(self):
-        repo = ConfigRepository()
-        with pytest.raises(ConfValleyError):
-            repo.head("nope")
+def store_of(instances):
+    store = ConfigStore()
+    store.add_all(instances)
+    return store
 
 
 class TestDiff:
     def test_diff_against_none_is_all_added(self):
-        repo = ConfigRepository()
-        snapshot = repo.commit(BASE)
-        change = repo.diff(None, snapshot)
+        change = diff_stores(None, store_of(BASE))
         assert len(change.added) == 3
         assert not change.removed and not change.modified
 
     def test_modification_detected(self):
-        repo = ConfigRepository()
-        old = repo.commit(BASE)
         updated = [
             inst("Cluster::C1.Timeout", "45"),   # modified
             inst("Cluster::C1.Mode", "fast"),
             inst("Cluster::C2.Timeout", "30"),
         ]
-        new = repo.commit(updated)
-        change = repo.diff(old, new)
+        change = diff_stores(store_of(BASE), store_of(updated))
         assert len(change.modified) == 1
         old_i, new_i = change.modified[0]
         assert old_i.value == "30" and new_i.value == "45"
         assert not change.added and not change.removed
 
     def test_add_and_remove(self):
-        repo = ConfigRepository()
-        old = repo.commit(BASE)
-        new = repo.commit(BASE[:-1] + [inst("Cluster::C3.Mode", "safe")])
-        change = repo.diff(old, new)
+        new = store_of(BASE[:-1] + [inst("Cluster::C3.Mode", "safe")])
+        change = diff_stores(store_of(BASE), new)
         assert [i.key.render() for i in change.added] == ["Cluster::C3.Mode"]
         assert [i.key.render() for i in change.removed] == ["Cluster::C2.Timeout"]
 
     def test_identical_snapshots_empty_change(self):
-        repo = ConfigRepository()
-        old = repo.commit(BASE)
-        new = repo.commit(BASE)
-        assert repo.diff(old, new).is_empty
+        assert diff_stores(store_of(BASE), store_of(BASE)).is_empty
 
     def test_touched_classes(self):
-        repo = ConfigRepository()
-        old = repo.commit(BASE)
-        new = repo.commit([
+        new = store_of([
             inst("Cluster::C1.Timeout", "45"),
             inst("Cluster::C1.Mode", "fast"),
             inst("Cluster::C2.Timeout", "30"),
         ])
-        change = repo.diff(old, new)
+        change = diff_stores(store_of(BASE), new)
         assert change.touched_classes() == {("Cluster", "Timeout")}
         assert "~1" in change.summary()
-
-    def test_diff_heads(self):
-        repo = ConfigRepository()
-        repo.commit(BASE)
-        repo.create_branch("candidate", from_branch="trunk")
-        repo.commit(
-            [inst("Cluster::C1.Timeout", "60")] + BASE[1:], branch="candidate"
-        )
-        change = repo.diff_heads("trunk", "candidate")
-        assert len(change.modified) == 1
-
-
-class TestStoreCache:
-    def test_store_for_caches(self):
-        repo = ConfigRepository()
-        snapshot = repo.commit(BASE)
-        assert repo.store_for(snapshot) is repo.store_for(snapshot)
-
-    def test_store_contents(self):
-        repo = ConfigRepository()
-        snapshot = repo.commit(BASE)
-        store = repo.store_for(snapshot)
-        assert store.instance_count == 3
-        assert store.query("Cluster::C1.Timeout")[0].value == "30"
