@@ -10,11 +10,13 @@ PYTHONPATH := src
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
 
-## Fault-tolerance suite: driver fault matrix, resilience layers, and the
-## seeded chaos run (fixed seeds — fully deterministic, see tests/test_chaos.py).
+## Fault-tolerance suite: driver fault matrix, resilience layers, the
+## seeded chaos run (fixed seeds — fully deterministic, see tests/test_chaos.py)
+## and the crash matrix of the durable log (tests/test_durable.py).
 chaos:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -q \
-		tests/test_driver_faults.py tests/test_resilience.py tests/test_chaos.py
+		tests/test_driver_faults.py tests/test_resilience.py tests/test_chaos.py \
+		tests/test_durable.py
 
 ## Observability gate: the unit/integration suite plus a smoke-scale run
 ## of the overhead benchmark (which also validates that the Prometheus

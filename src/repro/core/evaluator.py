@@ -490,9 +490,9 @@ class _Spec:
         self.compartment = None
         if isinstance(spec.domain, ast.CompartmentDomain):
             # inline compartment: the spec runs per compartment instance, as
-            # a spec over the inner domain that carries no custom message
+            # a spec over the inner domain
             self.compartment = spec.domain.compartment
-            spec = ast.SpecStatement(spec.domain.inner, spec.steps, spec.text, spec.line)
+            spec = spec.replace(domain=spec.domain.inner)
         self.resolve = _lower_domain(spec.domain)
         self.steps = tuple(_lower_step(step) for step in spec.steps[:-1])
         final = spec.steps[-1]

@@ -70,6 +70,9 @@ _MASTER = re.compile(
             r"(?P<RBRACE>\})",
             r"(?P<SIMPLE>[{,.@#+/&|~])",
             r"(?P<MINUS>-)",
+            # `*` between blanks multiplies domains; anywhere else it is a
+            # wildcard name character
+            r"(?P<STAR>\*(?<=[ \t\r\n]\*)(?=[ \t\r\n]))",
             r"(?P<WORD>[A-Za-z_*]" + r"(?:[A-Za-z0-9_*]|-(?!>))*)",
             r"(?P<ERR>.)",
         )
@@ -98,6 +101,7 @@ _FIXED = {
     "COLONCOLON": (TokenType.COLONCOLON, "::"),
     "BANGBANG": (TokenType.BANGBANG, "!!"),
     "MINUS": (TokenType.MINUS, "-"),
+    "STAR": (TokenType.STAR, "*"),
 }
 
 #: token types after which a newline never terminates a statement

@@ -1,31 +1,24 @@
-"""Durable job journal: append-only JSON-lines with atomic rotation.
+"""Durable job journal: the job service's JSON-lines write-ahead log.
 
 The job service must not lose accepted work across a crash or restart
 (the paper's service sits inside a deployment workflow — a submitted
-change that silently vanishes is worse than a rejected one).  Durability
-is a classic write-ahead log, kept deliberately boring:
+change that silently vanishes is worse than a rejected one).  Every
+state-changing operation appends **one JSON object per line** (``submit``
+carries the full job record, ``update`` carries the changed fields) and
+flushes before the in-memory transition is considered done.  On startup
+the stream is folded back into the final job records; interpretation of
+non-terminal states (re-queue vs mark interrupted) belongs to the
+:class:`~repro.jobs.service.JobService`, the journal only reconstructs
+facts.  Rotation compacts the stream every ``rotate_after`` appends into
+one ``{"event": "snapshot", "jobs": [...]}`` line carrying the live jobs
+(terminal jobs evicted by retention drop out of it, which is how the
+journal's disk footprint is bounded).
 
-* every state-changing operation appends **one JSON object per line**
-  (``submit`` carries the full job record, ``update`` carries the changed
-  fields) and flushes before the in-memory transition is considered done;
-* on startup :meth:`replay` folds the event stream back into the final
-  job records; interpretation of non-terminal states (re-queue vs mark
-  interrupted) belongs to the :class:`~repro.jobs.service.JobService`,
-  the journal only reconstructs facts;
-* a half-written trailing line (the crash case) is ignored — everything
-  before it already flushed, so recovery loses at most the transition
-  that was mid-write when the process died;
-* :meth:`rotate` compacts the event stream into a single ``snapshot``
-  line carrying the live jobs, written to a same-directory temp file and
-  published with ``os.replace`` — readers and crashes never observe a
-  torn journal.  The snapshot is materialized **under the writer lock**
-  (``snapshot_source`` may be a callable evaluated inside the critical
-  section), so an appender on another thread can never slip an event
-  between the snapshot and the file swap — the event either precedes the
-  snapshot (and is folded into it) or lands in the fresh journal after
-  the swap.  Rotation is triggered automatically every ``rotate_after``
-  appends (terminal jobs evicted by retention drop out of the snapshot,
-  which is how the journal's disk footprint is bounded).
+The mechanism — append under one lock, torn-tail-tolerant replay,
+incremental tailing, snapshot rotation under the writer lock, atomic
+publish — is :mod:`repro.runtime.durable`'s, shared with the worker
+partitions, the lifecycle journal and the trace partitions; this module
+owns the event grammar and its folds.
 
 **Multi-process partitioning** (``repro.jobs.lease``): when jobs execute
 in external worker processes, each writer owns its *own* append-only
@@ -40,21 +33,11 @@ the RUNNING job at the same epoch and worker.  Replaying a partition
 twice, or replaying a zombie worker's stale result after the job was
 re-queued, is therefore a no-op — the property the partitioned-replay
 tests pin down.
-
-``fsync`` on every append is off by default — a flush survives a process
-crash (the kernel owns the page), which is the failure mode the service
-recovers from; pass ``fsync=True`` where power-loss durability matters
-more than submission latency.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import threading
-from typing import Callable, Iterable, Optional, Union
-
-from ..observability import get_logger
+from ..runtime.durable import JsonLinesLog, LogTail as JournalTail, read_log as read_events
 
 __all__ = [
     "JobJournal",
@@ -65,149 +48,21 @@ __all__ = [
     "fold_merged",
 ]
 
-_log = get_logger("jobs.journal")
 
+class JobJournal(JsonLinesLog):
+    """Journal of :class:`ValidationJob` events (rotates every 4,096).
 
-def _parse_lines(lines: list[str], path: str) -> list[dict]:
-    """JSON-lines → events; torn trailing line dropped, others skipped."""
-    events = []
-    for index, line in enumerate(lines):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            events.append(json.loads(line))
-        except ValueError:
-            if index == len(lines) - 1:
-                _log.warning(
-                    "dropping torn trailing journal line",
-                    extra={"path": path, "line": index + 1},
-                )
-            else:
-                _log.warning(
-                    "skipping corrupt journal line",
-                    extra={"path": path, "line": index + 1},
-                )
-    return events
+    ``rotate`` and ``snapshot_source`` take the live job dicts; the
+    snapshot line carries them under ``"jobs"``.
+    """
 
+    #: defined on this class rather than inherited, so a job-journal event
+    #: can be wrapped and counted apart from every other log's appends
+    #: (``benchmarks/ledger/layertrace.py`` wraps it by name)
+    append = JsonLinesLog.append
 
-def read_events(path: str) -> list[dict]:
-    """Read one journal/partition file (missing file = no events)."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except FileNotFoundError:
-        return []
-    return _parse_lines(lines, path)
-
-
-class JobJournal:
-    """Append-only JSON-lines journal for :class:`ValidationJob` records."""
-
-    def __init__(
-        self,
-        path: str,
-        rotate_after: int = 4096,
-        fsync: bool = False,
-        snapshot_source: Optional[Callable[[], Iterable[dict]]] = None,
-    ):
-        self.path = path
-        self.rotate_after = max(1, rotate_after)
-        self.fsync = fsync
-        #: called at auto-rotation time to obtain the live job dicts the
-        #: compacted journal must carry (wired by the JobService).  It is
-        #: invoked while the writer lock is held, so it must not block on
-        #: a lock held by a thread that is itself waiting to append.
-        self.snapshot_source = snapshot_source
-        self._lock = threading.Lock()
-        self._handle = None
-        self._appended = 0
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-
-    # -- writing -------------------------------------------------------
-
-    def _open(self):
-        if self._handle is None:
-            self._handle = open(self.path, "a", encoding="utf-8")
-        return self._handle
-
-    def append(self, event: dict) -> None:
-        """Durably record one event, auto-rotating when the log grows."""
-        line = json.dumps(event, sort_keys=True, separators=(",", ":"))
-        with self._lock:
-            handle = self._open()
-            handle.write(line + "\n")
-            handle.flush()
-            if self.fsync:
-                os.fsync(handle.fileno())
-            self._appended += 1
-            if (
-                self._appended >= self.rotate_after
-                and self.snapshot_source is not None
-            ):
-                # snapshot + swap inside this critical section: a
-                # concurrent appender blocks on the lock, so no event can
-                # land between the snapshot and the os.replace and be
-                # silently dropped by the compaction
-                self._rotate_locked(self.snapshot_source)
-
-    def rotate(
-        self,
-        jobs: Union[Iterable[dict], Callable[[], Iterable[dict]]],
-    ) -> None:
-        """Compact the journal to one snapshot line (atomic replace).
-
-        Pass a *callable* to have the snapshot materialized under the
-        writer lock — the only form that is safe while other threads may
-        still be appending (an iterable built beforehand can miss events
-        appended between its construction and the swap).
-        """
-        with self._lock:
-            self._rotate_locked(jobs)
-
-    def _rotate_locked(
-        self,
-        jobs: Union[Iterable[dict], Callable[[], Iterable[dict]]],
-    ) -> None:
-        if callable(jobs):
-            jobs = jobs()
-        snapshot = json.dumps(
-            {"event": "snapshot", "jobs": list(jobs)},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        temp_path = os.path.join(
-            os.path.dirname(os.path.abspath(self.path)),
-            f".{os.path.basename(self.path)}.{os.getpid()}.tmp",
-        )
-        with open(temp_path, "w", encoding="utf-8") as handle:
-            handle.write(snapshot + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-        os.replace(temp_path, self.path)
-        self._appended = 0
-        _log.info("journal rotated", extra={"path": self.path})
-
-    def close(self) -> None:
-        with self._lock:
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
-
-    # -- reading -------------------------------------------------------
-
-    def replay(self) -> list[dict]:
-        """The event stream from disk (snapshot first when compacted).
-
-        A torn trailing line — the signature of a crash mid-append — is
-        dropped; a torn line anywhere else is skipped with a warning so a
-        single corrupt event cannot take the whole journal hostage.
-        """
-        return read_events(self.path)
+    def _payload(self, jobs) -> dict:
+        return {"jobs": list(jobs)}
 
     @staticmethod
     def fold(events: list[dict], job_factory) -> dict:
@@ -248,56 +103,6 @@ def apply_coordinator_events(jobs: dict, events: list[dict], job_factory) -> dic
                 if hasattr(job, key):
                     setattr(job, key, value)
     return jobs
-
-
-class JournalTail:
-    """Incremental reader of one append-only partition file.
-
-    Remembers the byte offset of the last fully-parsed line and returns
-    only events appended since.  A partial trailing line (a writer racing
-    the read, or a crash mid-append) is left unconsumed — it is re-read
-    on the next poll once (if ever) its newline lands.  A file that
-    *shrank* (the coordinator partition after a rotation) resets the tail
-    to the start, and the caller gets the snapshot-led stream again.
-    """
-
-    def __init__(self, path: str):
-        self.path = path
-        self.offset = 0
-
-    def poll(self) -> tuple[list[dict], bool]:
-        """``(new events, reset)`` — ``reset`` means re-read from zero."""
-        try:
-            size = os.path.getsize(self.path)
-        except OSError:
-            return [], False
-        reset = size < self.offset
-        if reset:
-            self.offset = 0
-        if size == self.offset:
-            return [], reset
-        with open(self.path, "rb") as handle:
-            handle.seek(self.offset)
-            chunk = handle.read(size - self.offset)
-        end = chunk.rfind(b"\n")
-        if end < 0:  # no complete line yet
-            return [], reset
-        complete = chunk[: end + 1]
-        self.offset += end + 1
-        lines = complete.decode("utf-8", "replace").splitlines()
-        events = []
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                events.append(json.loads(line))
-            except ValueError:
-                _log.warning(
-                    "skipping corrupt journal line",
-                    extra={"path": self.path},
-                )
-        return events, reset
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ failure detector:
   epoch is the fencing token the journal replay honors
   (:func:`repro.jobs.journal.apply_worker_event`).
 * **heartbeats** — the holder renews its lease by atomically rewriting
-  the file with a pushed-out deadline (temp file + ``os.replace``, so a
+  the file with a pushed-out deadline (an fsynced atomic rewrite, so a
   reader never sees a torn lease).  Renewal fails loudly when the file
   was broken or re-claimed by someone else — the holder has been fenced
   and must not record a result as the current claimant.
@@ -48,6 +48,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..observability import get_logger
+from ..runtime.durable import atomic_write
 
 __all__ = ["Lease", "LeaseStore", "JobDirectory"]
 
@@ -187,7 +188,7 @@ class JobDirectory:
     def publish_spec(self, name: str, text: str) -> str:
         """Atomically write a named spec where worker processes see it."""
         path = os.path.join(self.specs_dir, f"{_safe_name(name)}.cpl")
-        _atomic_write(path, text.encode("utf-8"))
+        atomic_write(path, text)
         return path
 
     def read_spec(self, name: str) -> Optional[str]:
@@ -204,14 +205,6 @@ def _safe_name(name: str) -> str:
     return "".join(
         ch if ch.isalnum() or ch in "-_." else "_" for ch in name
     ) or "_"
-
-
-def _atomic_write(path: str, payload: bytes) -> None:
-    temp = f"{path}.{os.getpid()}.tmp"
-    with open(temp, "wb") as handle:
-        handle.write(payload)
-        handle.flush()
-    os.replace(temp, path)
 
 
 class LeaseStore:
@@ -269,10 +262,7 @@ class LeaseStore:
             return False
         lease.deadline = self._time() + self.ttl
         lease.heartbeats += 1
-        _atomic_write(
-            self._lease_path(lease.job_id),
-            json.dumps(lease.to_dict()).encode("utf-8"),
-        )
+        atomic_write(self._lease_path(lease.job_id), json.dumps(lease.to_dict()))
         return True
 
     def release(self, lease: Lease) -> None:
@@ -335,9 +325,9 @@ class LeaseStore:
             "last_seen": self._time(),
         }
         payload.update(info)
-        _atomic_write(
+        atomic_write(
             self.directory.worker_heartbeat(worker_id),
-            json.dumps(payload, sort_keys=True).encode("utf-8"),
+            json.dumps(payload, sort_keys=True),
         )
 
     def retire(self, worker_id: str) -> None:

@@ -1449,5 +1449,6 @@ class JobService:
         if self.journal is not None:
             self.journal.rotate(self._snapshot_jobs)
             self.journal.close()
+        self.fleet.close()
         _log.info("job service closed", extra={"clean": clean})
         return clean

@@ -810,6 +810,7 @@ class ExternalWorker:
                 last_announce = self._time()
         finally:
             self.partition.close()
+            self.traces.close()
             self.leases.retire(self.worker_id)
             _log.info(
                 "external worker stopped",

@@ -1,12 +1,12 @@
-"""Durable lifecycle journal: append-only JSON-lines with atomic rotation.
+"""Durable lifecycle journal: spec lifecycle events as a JSON-lines log.
 
 Promotion decisions are only trustworthy if they survive restarts — a
 spec that earned enforcement over fifty scans must not fall back to
-shadow because the service rolled.  The journal uses the same idiom as
-``repro.jobs.journal``: one JSON object per line, flushed per append, a
-torn trailing line (crash mid-write) dropped on replay, and automatic
-compaction to a single ``snapshot`` line materialized under the writer
-lock and published with ``os.replace``.
+shadow because the service rolled.  The journal is a
+:class:`repro.runtime.durable.JsonLinesLog` (the job journal's mechanism:
+flushed per append, torn trailing line dropped on replay, compaction to
+one ``snapshot`` line under the writer lock, published atomically) that
+rotates every 2,048 appends.
 
 Event grammar::
 
@@ -30,12 +30,10 @@ enforced set, byte for byte.
 
 from __future__ import annotations
 
-import json
-import os
-import threading
 from typing import Callable, Optional
 
 from ..observability import get_logger
+from ..runtime.durable import JsonLinesLog
 from .model import SpecRecord
 from .policy import PromotionPolicy
 
@@ -44,8 +42,9 @@ __all__ = ["LifecycleJournal", "fold"]
 _log = get_logger("lifecycle.journal")
 
 
-class LifecycleJournal:
-    """Append-only JSON-lines journal for spec lifecycle events."""
+class LifecycleJournal(JsonLinesLog):
+    """Journal of spec lifecycle events; ``snapshot_source`` returns
+    ``{"records": [...], "scan_seq": N}``."""
 
     def __init__(
         self,
@@ -54,84 +53,7 @@ class LifecycleJournal:
         fsync: bool = False,
         snapshot_source: Optional[Callable[[], dict]] = None,
     ):
-        self.path = path
-        self.rotate_after = max(1, rotate_after)
-        self.fsync = fsync
-        #: called at rotation time (under the writer lock) to obtain the
-        #: compacted state: {"records": [...], "scan_seq": N}
-        self.snapshot_source = snapshot_source
-        self._lock = threading.Lock()
-        self._handle = None
-        self._appended = 0
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-
-    # -- writing -------------------------------------------------------
-
-    def _open(self):
-        if self._handle is None:
-            self._handle = open(self.path, "a", encoding="utf-8")
-        return self._handle
-
-    def append(self, event: dict) -> None:
-        """Durably record one event, auto-rotating when the log grows."""
-        line = json.dumps(event, sort_keys=True, separators=(",", ":"))
-        with self._lock:
-            handle = self._open()
-            handle.write(line + "\n")
-            handle.flush()
-            if self.fsync:
-                os.fsync(handle.fileno())
-            self._appended += 1
-            if (
-                self._appended >= self.rotate_after
-                and self.snapshot_source is not None
-            ):
-                self._rotate_locked(self.snapshot_source)
-
-    def rotate(self, snapshot) -> None:
-        """Compact to one snapshot line (atomic replace).
-
-        Pass a callable to have the snapshot materialized under the
-        writer lock — safe against concurrent appenders.
-        """
-        with self._lock:
-            self._rotate_locked(snapshot)
-
-    def _rotate_locked(self, snapshot) -> None:
-        if callable(snapshot):
-            snapshot = snapshot()
-        payload = dict(snapshot)
-        payload["event"] = "snapshot"
-        line = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        temp_path = os.path.join(
-            os.path.dirname(os.path.abspath(self.path)),
-            f".{os.path.basename(self.path)}.{os.getpid()}.tmp",
-        )
-        with open(temp_path, "w", encoding="utf-8") as handle:
-            handle.write(line + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-        os.replace(temp_path, self.path)
-        self._appended = 0
-        _log.info("lifecycle journal rotated", extra={"path": self.path})
-
-    def close(self) -> None:
-        with self._lock:
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
-
-    # -- reading -------------------------------------------------------
-
-    def replay(self) -> list[dict]:
-        """The event stream from disk (snapshot first when compacted)."""
-        from ..jobs.journal import read_events
-
-        return read_events(self.path)
+        super().__init__(path, rotate_after, fsync, snapshot_source)
 
 
 def fold(events: list[dict], policy: PromotionPolicy) -> tuple[dict, int]:

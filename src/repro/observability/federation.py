@@ -38,14 +38,12 @@ stale — in ``GET /fleet`` for triage.
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 import time
 from collections import OrderedDict
 from typing import Callable, Iterable, Optional
 
-from .logging import get_logger
+from ..runtime.durable import JsonLinesLog, read_log
 from .metrics import _format_value, _label_key, _render_labels
 from .snapshot import load_snapshot, write_snapshot
 from .tracing import render_chrome_trace
@@ -65,8 +63,6 @@ __all__ = [
     "FleetView",
 ]
 
-_log = get_logger("observability.federation")
-
 TRACE_SEGMENT_VERSION = 1
 
 #: marker label added to every federated worker series
@@ -78,13 +74,13 @@ WORKER_LABEL = "worker"
 # ---------------------------------------------------------------------------
 
 
-class TraceSegmentWriter:
+class TraceSegmentWriter(JsonLinesLog):
     """Appends trace segments to one process's partition file.
 
     One JSON line per segment: ``{"v", "trace_id", "source",
     "recorded_at", "spans": [...]}``.  Single-writer by construction
     (each process owns its partition), so appends never contend across
-    processes; the lock only serializes threads within one process.
+    processes; the log's lock only serializes threads within one process.
     """
 
     def __init__(
@@ -93,11 +89,9 @@ class TraceSegmentWriter:
         source: str,
         time_fn: Callable[[], float] = time.time,
     ):
-        self.path = path
+        super().__init__(path)
         self.source = source
         self._time = time_fn
-        self._lock = threading.Lock()
-        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
 
     def write(self, trace_id: str, spans: Iterable[dict]) -> dict:
         """Append one segment; returns the segment that was written."""
@@ -108,50 +102,15 @@ class TraceSegmentWriter:
             "recorded_at": self._time(),
             "spans": [dict(span) for span in spans],
         }
-        line = json.dumps(segment, sort_keys=True, separators=(",", ":"))
-        with self._lock:
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
-                handle.flush()
+        self.append(segment)
         return segment
 
 
 def read_trace_segments(path: str) -> list[dict]:
-    """Read one trace partition; torn trailing line dropped, others skipped.
-
-    Mirrors the journal reader's crash tolerance: a writer killed
-    mid-append tears only its own trailing line, which is dropped; a
-    corrupt line anywhere else is skipped with a warning so one bad
-    segment cannot take the partition hostage.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except OSError:
-        return []
-    segments = []
-    for index, line in enumerate(lines):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            segment = json.loads(line)
-        except ValueError:
-            if index == len(lines) - 1:
-                _log.warning(
-                    "dropping torn trailing trace segment",
-                    extra={"path": path, "line": index + 1},
-                )
-            else:
-                _log.warning(
-                    "skipping corrupt trace segment",
-                    extra={"path": path, "line": index + 1},
-                )
-            continue
-        if not isinstance(segment, dict) or not segment.get("trace_id"):
-            continue
-        segments.append(segment)
-    return segments
+    """Read one trace partition with the log's crash rules
+    (:func:`~repro.runtime.durable.read_log`); segments without a trace
+    id are left out."""
+    return [segment for segment in read_log(path) if segment.get("trace_id")]
 
 
 class TraceSegmentStore:
@@ -298,10 +257,10 @@ def export_metrics_snapshot(
 ) -> None:
     """Atomically export one process's registry into the shared directory.
 
-    Reuses :func:`~.snapshot.write_snapshot` (same-directory temp file +
-    ``os.replace``), so the coordinator never reads a torn snapshot; the
-    wall-clock ``exported_at`` inside ``stats`` is what staleness fencing
-    compares against.
+    Reuses :func:`~.snapshot.write_snapshot` (an atomic rewrite), so the
+    coordinator never reads a torn snapshot; the wall-clock
+    ``exported_at`` inside ``stats`` is what staleness fencing compares
+    against.
     """
     stats = dict(stats or {})
     stats.setdefault("exported_at", time_fn())
@@ -647,6 +606,11 @@ class FleetView:
                 "spans": spans,
             }
         self.store.add(segment)
+
+    def close(self) -> None:
+        """Close the coordinator's trace partition (reopened on next use)."""
+        if self._writer is not None:
+            self._writer.close()
 
     def trace_segments(self, trace_id: str) -> list[dict]:
         """All known segments for one trace: memory plus disk partitions."""

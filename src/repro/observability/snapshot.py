@@ -13,35 +13,27 @@ atomically rewrites after every scan (``service --metrics-file PATH``):
   dump, *and* the Prometheus text embedded under ``"prometheus"`` — the
   format ``confvalley stats`` reads.
 
-Writes go through a same-directory temp file + ``os.replace`` so readers
-never observe a torn snapshot, even mid-scan on a busy service.
+Writes go through :func:`repro.runtime.durable.atomic_write` (hidden
+same-directory temp file, fsync, ``os.replace``) so readers never observe
+a torn snapshot, even mid-scan on a busy service.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from typing import Optional
+
+from ..runtime.durable import atomic_write
 
 __all__ = ["SNAPSHOT_VERSION", "write_snapshot", "load_snapshot", "render_stats"]
 
 SNAPSHOT_VERSION = 1
 
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    temp_path = os.path.join(directory, f".{os.path.basename(path)}.{os.getpid()}.tmp")
-    with open(temp_path, "w", encoding="utf-8") as handle:
-        handle.write(text)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(temp_path, path)
-
-
 def write_snapshot(path: str, stats: dict, registry) -> None:
     """Publish one observability snapshot to ``path`` (atomic rewrite)."""
     if path.endswith((".prom", ".txt")):
-        _atomic_write(path, registry.to_prometheus())
+        atomic_write(path, registry.to_prometheus())
         return
     payload = {
         "snapshot_version": SNAPSHOT_VERSION,
@@ -49,7 +41,7 @@ def write_snapshot(path: str, stats: dict, registry) -> None:
         "metrics": registry.to_dict(),
         "prometheus": registry.to_prometheus(),
     }
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    atomic_write(path, json.dumps(payload, indent=2, sort_keys=True), "\n")
 
 
 def load_snapshot(path: str) -> dict:

@@ -25,6 +25,7 @@ from repro.errors import CPLSyntaxError
 
 __all__ = ["tokenize"]
 
+_BLANKS = (" ", "\t", "\r", "\n")
 _NAME_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_*-")
 _SIMPLE = {
     "(": TokenType.LPAREN,
@@ -212,6 +213,16 @@ class _Lexer:
                 # minus is the arithmetic domain operator
                 self.advance()
                 self.emit(TokenType.MINUS, "-", line, column)
+                continue
+            if (
+                ch == "*"
+                and self.pos > 0
+                and self.text[self.pos - 1] in _BLANKS
+                and self.peek(1) in _BLANKS
+            ):
+                # `*` between blanks is the domain multiplication operator
+                self.advance()
+                self.emit(TokenType.STAR, "*", line, column)
                 continue
             if ch in _NAME_CHARS:
                 word = self.read_word()

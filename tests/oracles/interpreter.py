@@ -318,7 +318,7 @@ class Evaluator:
         domain = spec.domain
         if isinstance(domain, ast.CompartmentDomain):
             # inline compartment: evaluate per compartment instance
-            inner_spec = ast.SpecStatement(domain.inner, spec.steps, spec.text, spec.line)
+            inner_spec = spec.replace(domain=domain.inner)
             for scope_key in self.scope_instances(domain.compartment, ctx):
                 inner_ctx = replace(ctx, compartment=scope_key)
                 before = len(report.violations)

@@ -75,6 +75,8 @@ def test_session_validate_loads_only_the_scan_path(tmp_path):
         "repro.observability.server", "repro.observability.federation",
         # delta planning, sharding and change sets stay off the plain path
         "repro.core.incremental", "repro.parallel", "repro.repository.versioned",
+        # so do the journals, leases and snapshots
+        "repro.runtime.durable",
     )) == []
 
 
@@ -104,7 +106,23 @@ def test_cli_validate_skips_inference(tmp_path):
 
         assert main(["validate", spec, "--source", "xml:" + fleet]) == 0
     """)
-    assert _offending(loaded, ("repro.inference", "repro.workflows", "yaml")) == []
+    assert _offending(loaded, (
+        "repro.inference", "repro.workflows", "yaml", "repro.runtime.durable",
+    )) == []
+
+
+def test_lifecycle_journal_replay_skips_the_job_service(tmp_path):
+    # the lifecycle journal shares the log with the job journal, not the jobs
+    loaded = _loaded_after(tmp_path, """
+        from repro.lifecycle import LifecycleJournal
+
+        journal = LifecycleJournal("lifecycle.jsonl")
+        journal.append({"event": "scan", "seq": 1, "ledger": {}})
+        journal.close()
+        assert LifecycleJournal("lifecycle.jsonl").replay()[0]["seq"] == 1
+    """)
+    assert "repro.runtime.durable" in loaded
+    assert _offending(loaded, ("repro.jobs", "http.server", "yaml")) == []
 
 
 def test_cli_gate_skips_the_job_service(tmp_path):

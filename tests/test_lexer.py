@@ -94,6 +94,17 @@ class TestDomainScanning:
         assert values("$*IP")[0] == "*IP"
         assert values("$*.SecretKey")[0] == "*.SecretKey"
 
+    def test_star_between_blanks_multiplies(self):
+        assert types("$Listen * $Ratio") == [
+            TokenType.DOMAIN, TokenType.STAR, TokenType.DOMAIN,
+        ]
+        # anywhere else `*` stays a wildcard name character
+        assert types("f(*) *x x* a*b") == [
+            TokenType.IDENT, TokenType.LPAREN, TokenType.IDENT, TokenType.RPAREN,
+            TokenType.IDENT, TokenType.IDENT, TokenType.IDENT,
+        ]
+        assert values("$A::*.x * $B")[:2] == ["A::*.x", "*"]
+
     def test_range_bracket_not_swallowed(self):
         # `[` after a domain only binds when it holds an index
         tokens = tokenize("$ProxyIP -> [$StartIP, $EndIP]")

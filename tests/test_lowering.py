@@ -341,6 +341,7 @@ _HAND_PROGRAMS = (
     "$env.os -> == 'Linux'\n$Mode -> {$env.os, 'fast'}\n$Mode -> exists | reachable",
     "$Mode -> match($MaxListen)\n$Listen -> if (int) [1, $MaxListen] else nonempty",
     "$Listen - $Ratio -> <= 8079\n$Ratio + $Listen -> > 80\n$Mode + $Mode -> nonempty",
+    "$Listen * $Ratio -> <= 8080\n$Ratio * $Listen / $Ratio -> > 80",
     "$Mode -> trim -> foreach($Cluster::$_.Listen) -> int\n"
     "$Mode -> [lower(), upper()] -> nonempty",
 )
@@ -374,6 +375,30 @@ def test_hand_written_programs_match_interpreter():
             assert got == expected, text
             failed = bool(expected[2]) if guarded else expected[0] is not None
             assert failed == (text in _HAND_ERROR_PROGRAMS), text
+
+
+def test_language_doc_examples():
+    """docs/LANGUAGE.md: `!! '…'` overrides the message of an inline
+    compartment spec too, and `*` between blanks multiplies domains."""
+    from repro import ValidationSession
+
+    session = ValidationSession()
+    session.load_text("ini", "[A]\nP = 1\nListen = 4\nRatio = 2\n", source="a.ini")
+    messages = {
+        text: [violation.message for violation in session.validate(text).violations]
+        for text in (
+            "#[A] $P# -> [5, 9] !! 'custom {key}'",
+            "$P -> [5, 9] !! 'custom {key}'",
+            "$Listen * $Ratio -> [1, 7]",
+            "$Listen * $Ratio -> == 8",
+        )
+    }
+    assert list(messages.values()) == [
+        ["custom A.P"],
+        ["custom A.P"],
+        ["value '8' of A.Listen is out of range [1, 7]"],
+        [],
+    ]
 
 
 def test_shard_lets_and_redefined_macros_match_interpreter():

@@ -81,6 +81,11 @@ class TestSpecStatements:
         assert isinstance(spec.domain, ast.BinOpDomain)
         assert spec.domain.op == "+"
 
+    def test_multiplication_domain(self):
+        spec = only(parse("$Listen * $Ratio -> [0, 10]"))
+        assert isinstance(spec.domain, ast.BinOpDomain)
+        assert spec.domain.op == "*"
+
     def test_spec_records_text_and_line(self):
         program = parse("// hi\n$a -> int")
         spec = program.statements[0]
